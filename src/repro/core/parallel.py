@@ -364,6 +364,10 @@ def execute_tasks(config: WorkerConfig, tasks: list[CellTask], jobs: int,
                 merge(record)
             flushed[0] += 1
 
+    def finished(idx: int) -> bool:
+        # flush() pops merged tasks out of ``staged``
+        return idx < flushed[0] or idx in staged
+
     pending: list[tuple[int, CellTask]] = list(enumerate(tasks))
     generation = 0
     respawns = 0
@@ -386,7 +390,7 @@ def execute_tasks(config: WorkerConfig, tasks: list[CellTask], jobs: int,
             for idx, task, future in submitted:
                 if broke:
                     break
-                if idx in staged:  # pragma: no cover - defensive
+                if finished(idx):  # pragma: no cover - defensive
                     continue
                 try:
                     staged[idx] = future.result(timeout=deadline)
@@ -421,7 +425,7 @@ def execute_tasks(config: WorkerConfig, tasks: list[CellTask], jobs: int,
                 # already finished still hold their results — harvest
                 # them so completed work is never re-executed
                 for idx, task, future in submitted:
-                    if (idx not in staged and future.done()
+                    if (not finished(idx) and future.done()
                             and not future.cancelled()
                             and future.exception() is None):
                         staged[idx] = future.result()
@@ -431,7 +435,7 @@ def execute_tasks(config: WorkerConfig, tasks: list[CellTask], jobs: int,
             raise
         pool.shutdown(wait=not broke, cancel_futures=True)
         pending = [(idx, task) for idx, task in pending
-                   if idx not in staged]
+                   if not finished(idx)]
         if not pending:
             break
         respawns += 1

@@ -39,7 +39,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from repro.core.study import RunResult, SpeedupCell, Study
+from repro.core.study import (
+    RecordTexts,
+    RunResult,
+    SpeedupCell,
+    Study,
+    json_document,
+)
 from repro.core.variants import Variant, get_algorithm
 from repro.errors import (
     CellTimeoutError,
@@ -254,8 +260,10 @@ class ResilientStudy(Study):
         of every cell gets its own deterministic injector derived from
         (cell key, repetition, attempt).
     checkpoint:
-        Path for incremental checkpoints: after every cell the full
-        result + failure state is re-written atomically.  Use
+        Path for incremental checkpoints: after every cell a complete
+        generation (every result and failure) is written and fsynced
+        atomically, but only the records new since the last save are
+        JSON-encoded — the rest reuse their cached text.  Use
         :meth:`load_checkpoint` (or the CLI's ``--resume``) to continue
         an interrupted sweep, executing only the missing cells.
     """
@@ -277,6 +285,10 @@ class ResilientStudy(Study):
         self.faults = faults
         self.checkpoint = None if checkpoint is None else Path(checkpoint)
         self._failures: dict[tuple, CellFailure] = {}
+        self._failure_texts = RecordTexts(self._failure_record)
+        #: (path, bytes) of the last checkpoint this study wrote
+        #: successfully — a generation verified by construction
+        self._last_write: tuple[Path, bytes] | None = None
         #: cells actually simulated in this process (memoized or
         #: checkpoint-loaded cells do not count) — the observable that
         #: resume tests assert on
@@ -588,32 +600,44 @@ class ResilientStudy(Study):
         generation — *verified* before rotation, so a torn current file
         never displaces a good one — is kept as ``<name>.prev`` for
         :meth:`load_checkpoint` to fall back to.
+
+        Every save writes a complete generation, but JSON-encodes only
+        the records new since the last one (:class:`RecordTexts`): the
+        file is byte-identical to ``json.dumps(payload, indent=1)`` and
+        its ``crc`` equals :func:`checkpoint_crc` of that payload.
         """
         path = Path(path) if path is not None else self.checkpoint
         if path is None:
             raise StudyError("no checkpoint path configured")
-        payload = {
-            "format": CHECKPOINT_FORMAT,
-            "reps": self.reps,
-            "scale": self.scale,
-            "results": self._result_records(),
-            "failures": [
-                {
-                    "algorithm": f.algorithm,
-                    "input": f.input_name,
-                    "device": f.device_key,
-                    "variant": f.variant,
-                    "reason": f.reason,
-                    "message": f.message,
-                    "attempts": f.attempts,
-                    "elapsed_s": f.elapsed_s,
-                }
-                for f in self._failures.values()
-            ],
-        }
-        payload["crc"] = checkpoint_crc(payload)
+        results, results_canon = self._result_texts.encode(self._results)
+        failures, failures_canon = self._failure_texts.encode(
+            self._failures)
+        canonical = ("[[" + ", ".join(results_canon) + "], ["
+                     + ", ".join(failures_canon) + "]]")
+        text = json_document([
+            ("format", CHECKPOINT_FORMAT),
+            ("reps", self.reps),
+            ("scale", self.scale),
+            ("results", results),
+            ("failures", failures),
+            ("crc", zlib.crc32(canonical.encode())),
+        ])
         self._rotate_generation(path)
-        atomic_write_text(path, json.dumps(payload, indent=1))
+        atomic_write_text(path, text)
+        self._last_write = (path, text.encode())
+
+    @staticmethod
+    def _failure_record(f: CellFailure) -> dict:
+        return {
+            "algorithm": f.algorithm,
+            "input": f.input_name,
+            "device": f.device_key,
+            "variant": f.variant,
+            "reason": f.reason,
+            "message": f.message,
+            "attempts": f.attempts,
+            "elapsed_s": f.elapsed_s,
+        }
 
     def _rotate_generation(self, path: Path) -> None:
         """Keep the last *good* generation as ``.prev``.
@@ -621,16 +645,28 @@ class ResilientStudy(Study):
         Only a generation that still parses and passes its checksum is
         rotated; a corrupt current file (torn by an earlier injected or
         real fault) is left in place so it cannot clobber the last good
-        ``.prev``.
+        ``.prev``.  A file holding exactly the bytes this study last
+        wrote there is good by construction; anything else — a write a
+        host fault mangled, a foreign writer, the first save after a
+        load — gets the full :meth:`_read_generation` check.
         """
         if not path.exists():
             return
-        try:
-            self._read_generation(path)
-        except StudyError:
-            return
+        if not self._holds_last_write(path):
+            try:
+                self._read_generation(path)
+            except StudyError:
+                return
         with contextlib.suppress(OSError):
             os.replace(path, self._prev_path(path))
+
+    def _holds_last_write(self, path: Path) -> bool:
+        if self._last_write is None or self._last_write[0] != path:
+            return False
+        try:
+            return path.read_bytes() == self._last_write[1]
+        except OSError:
+            return False
 
     def _read_generation(self, path: Path) -> dict:
         """Parse + integrity-check one checkpoint generation.

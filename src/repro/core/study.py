@@ -33,6 +33,70 @@ TRACE_CACHE_ENV = "REPRO_TRACE_CACHE"
 by studies that were not given an explicit cache."""
 
 
+def json_document(fields: list[tuple[str, object]]) -> str:
+    """``json.dumps(dict(fields), indent=1)``, assembled from parts.
+
+    A ``list`` value must hold the already-encoded item texts of a
+    top-level list (:meth:`RecordTexts.encode`'s indented texts); any
+    other value is a scalar encoded here.  The output is byte-identical
+    to encoding the whole document at once, because JSON encoding is
+    compositional: a list item's text depends only on the item and its
+    nesting depth.
+    """
+    parts = []
+    for name, value in fields:
+        if isinstance(value, list):
+            value = ("[\n  " + ",\n  ".join(value) + "\n ]"
+                     if value else "[]")
+        else:
+            value = json.dumps(value)
+        parts.append(f" {json.dumps(name)}: {value}")
+    return "{\n" + ",\n".join(parts) + "\n}"
+
+
+class RecordTexts:
+    """Encode-once JSON text of a memo's records.
+
+    Result logs and checkpoints re-write every record after every cell;
+    encoding each record once instead keeps a per-cell save linear in
+    the new cells rather than in the whole study.  Per memo key the
+    cache holds the memo object it encoded and two texts: the record as
+    an item of a top-level list under ``json.dumps(indent=1)`` (see
+    :func:`json_document`), and its canonical ``sort_keys=True`` text
+    (what :func:`repro.core.resilience.checkpoint_crc` checksums).
+
+    An entry is reused only while the memo still holds the *same*
+    object — a checkpoint load or a retried cell replaces the entry with
+    a new one — and memo records are never mutated in place.  Keys that
+    left the memo are dropped.
+    """
+
+    def __init__(self, to_record) -> None:
+        self._to_record = to_record
+        self._entries: dict[tuple, tuple[object, str, str]] = {}
+
+    def encode(self, memo: dict) -> tuple[list[str], list[str]]:
+        """(indented item texts, canonical texts), in memo order."""
+        entries = self._entries
+        indented, canonical = [], []
+        for key, obj in memo.items():
+            entry = entries.get(key)
+            if entry is None or entry[0] is not obj:
+                record = self._to_record(obj)
+                # JSON strings never hold a raw newline, so shifting
+                # every line break re-indents the text to list depth 2
+                entry = (obj,
+                         json.dumps(record, indent=1).replace("\n", "\n  "),
+                         json.dumps(record, sort_keys=True))
+                entries[key] = entry
+            indented.append(entry[1])
+            canonical.append(entry[2])
+        if len(entries) > len(memo):
+            for key in entries.keys() - memo.keys():
+                del entries[key]
+        return indented, canonical
+
+
 @dataclass
 class RunResult:
     """Median-of-reps runtime of one (algo, input, device, variant)."""
@@ -141,6 +205,7 @@ class Study:
         self.trace_cache: TraceCache | None = trace_cache
         self.jobs = resolve_jobs(jobs)
         self._results: dict[tuple, RunResult] = {}
+        self._result_texts = RecordTexts(self._result_record)
         #: content fingerprints of graphs seen per input name, so two
         #: different graphs cannot silently share one memo entry
         self._graph_fps: dict[str, str] = {}
@@ -352,17 +417,18 @@ class Study:
     # ------------------------------------------------------------------
     # Result persistence (the artifact's ./results/ raw-runtime logs)
     # ------------------------------------------------------------------
+    @staticmethod
+    def _result_record(r: RunResult) -> dict:
+        return {
+            "algorithm": r.algorithm,
+            "input": r.input_name,
+            "device": r.device_key,
+            "variant": r.variant.value,
+            "runtimes_ms": r.runtimes_ms,
+        }
+
     def _result_records(self) -> list[dict]:
-        return [
-            {
-                "algorithm": r.algorithm,
-                "input": r.input_name,
-                "device": r.device_key,
-                "variant": r.variant.value,
-                "runtimes_ms": r.runtimes_ms,
-            }
-            for r in self._results.values()
-        ]
+        return [self._result_record(r) for r in self._results.values()]
 
     def save_results(self, path: str | Path) -> None:
         """Write every memoized runtime to a JSON log.
@@ -373,9 +439,10 @@ class Study:
         The write is crash-safe (temp file + atomic rename): a crash
         mid-save cannot leave a truncated log behind.
         """
-        payload = {"reps": self.reps, "scale": self.scale,
-                   "results": self._result_records()}
-        atomic_write_text(path, json.dumps(payload, indent=1))
+        results, _ = self._result_texts.encode(self._results)
+        atomic_write_text(path, json_document([
+            ("reps", self.reps), ("scale", self.scale),
+            ("results", results)]))
 
     def _load_payload(self, path: str | Path) -> dict:
         """Parse and protocol-check a saved log; StudyError on damage."""

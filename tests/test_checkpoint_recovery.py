@@ -1,12 +1,14 @@
 """Tests for self-healing checkpoints (repro.core.resilience, format 3)
 and graceful sweep interruption.
 
-Covers the ``.prev`` generation rotation (including verify-before-
-rotate), the fallback ladder of ``load_checkpoint`` under torn /
-bit-flipped / wrong-format current generations, record-level salvage,
-the all-or-nothing ``load_results`` commit, autosave tolerance of a
-full disk, the double-crash resume drill, and SIGINT-to-
-``SweepInterrupted`` conversion with a consistent final checkpoint.
+Covers the byte identity of the incrementally encoded checkpoint with
+the reference ``json.dumps`` encoding, the ``.prev`` generation
+rotation (including verify-before-rotate), the fallback ladder of
+``load_checkpoint`` under torn / bit-flipped / wrong-format current
+generations, record-level salvage, the all-or-nothing ``load_results``
+commit, autosave tolerance of a full disk, the double-crash resume
+drill, and SIGINT-to-``SweepInterrupted`` conversion with a consistent
+final checkpoint.
 """
 
 from __future__ import annotations
@@ -22,9 +24,12 @@ from repro.core import hostfaults
 from repro.core.hostfaults import HostFaultPlan
 from repro.core.resilience import (
     CHECKPOINT_FORMAT,
+    CellFailure,
     ResilientStudy,
     checkpoint_crc,
 )
+from repro.core.study import RunResult
+from repro.core.variants import Variant
 from repro.errors import StudyError, SweepInterrupted
 
 DEVICE = "titanv"
@@ -72,6 +77,118 @@ def _truncate(path):
     path.write_bytes(data[: len(data) // 2])
 
 
+def _reference_payload(study):
+    """The checkpoint payload as the whole-document encoder built it."""
+    payload = {
+        "format": CHECKPOINT_FORMAT,
+        "reps": study.reps,
+        "scale": study.scale,
+        "results": [
+            {"algorithm": r.algorithm, "input": r.input_name,
+             "device": r.device_key, "variant": r.variant.value,
+             "runtimes_ms": r.runtimes_ms}
+            for r in study._results.values()],
+        "failures": [
+            {"algorithm": f.algorithm, "input": f.input_name,
+             "device": f.device_key, "variant": f.variant,
+             "reason": f.reason, "message": f.message,
+             "attempts": f.attempts, "elapsed_s": f.elapsed_s}
+            for f in study._failures.values()],
+    }
+    payload["crc"] = checkpoint_crc(payload)
+    return payload
+
+
+def _assert_reference_bytes(study, ckpt):
+    """The saved file equals ``json.dumps(payload, indent=1)``."""
+    payload = _reference_payload(study)
+    text = ckpt.read_text()
+    assert text == json.dumps(payload, indent=1)
+    assert json.loads(text)["crc"] == checkpoint_crc(payload)
+
+
+def _add_result(study, algorithm, variant, runtimes):
+    key = (algorithm, INPUT, DEVICE, variant)
+    study._results[key] = RunResult(algorithm, INPUT, DEVICE, variant,
+                                    runtimes, last_run=None)
+
+
+def _add_failure(study, algorithm, variant, message):
+    key = (algorithm, INPUT, DEVICE, variant)
+    study._failures[key] = CellFailure(
+        algorithm=algorithm, input_name=INPUT, device_key=DEVICE,
+        variant=variant.value, reason="validation", message=message,
+        attempts=2, elapsed_s=0.125)
+
+
+class TestIncrementalEncoding:
+    """Checkpoints are assembled from per-record texts encoded once;
+    every generation must still be the reference encoding byte for
+    byte, whatever happened to the memo between saves."""
+
+    def test_results_only(self, seeded_checkpoint, tmp_path):
+        ckpt = _copied(seeded_checkpoint, tmp_path)
+        study = ResilientStudy(reps=1, checkpoint=ckpt)
+        assert study.load_checkpoint() == (2, 0)
+        _assert_reference_bytes(study, ckpt)  # written by a real sweep
+        _add_result(study, "mis", Variant.BASELINE, [1.5, 0.1 + 0.2])
+        study.save_checkpoint()
+        _assert_reference_bytes(study, ckpt)
+
+    def test_failures_with_escaped_messages(self, tmp_path):
+        ckpt = tmp_path / "sweep.ckpt"
+        study = ResilientStudy(reps=2, scale=0.25, checkpoint=ckpt)
+        _add_result(study, "cc", Variant.BASELINE, [3.25, 1e-7])
+        study.save_checkpoint()
+        _add_failure(study, "cc", Variant.RACE_FREE,
+                     'said "stop"\nthen\ttore \\ a word: ñ, ü, 競合')
+        _add_failure(study, "mis", Variant.BASELINE, "")
+        study.save_checkpoint()
+        _assert_reference_bytes(study, ckpt)
+
+    def test_after_failure_pop(self, tmp_path):
+        ckpt = tmp_path / "sweep.ckpt"
+        study = ResilientStudy(reps=1, checkpoint=ckpt)
+        _add_result(study, "cc", Variant.BASELINE, [2.0])
+        _add_failure(study, "mis", Variant.BASELINE, "first")
+        _add_failure(study, "mis", Variant.RACE_FREE, "second")
+        study.save_checkpoint()
+        # the service's retry path re-arms a failed cell this way
+        study._failures.pop(("mis", INPUT, DEVICE, Variant.BASELINE))
+        study.save_checkpoint()
+        _assert_reference_bytes(study, ckpt)
+        _add_failure(study, "mis", Variant.BASELINE, "retried")
+        study.save_checkpoint()
+        _assert_reference_bytes(study, ckpt)
+
+    def test_after_load_replaces_a_memo_entry(self, tmp_path):
+        ckpt = tmp_path / "sweep.ckpt"
+        study = ResilientStudy(reps=1, checkpoint=ckpt)
+        _add_result(study, "cc", Variant.BASELINE, [2.0])
+        _add_failure(study, "mis", Variant.BASELINE, "before")
+        study.save_checkpoint()
+        payload = json.loads(ckpt.read_text())
+        payload["results"][0]["runtimes_ms"] = [4.0]
+        payload["failures"][0]["message"] = "after"
+        payload["crc"] = checkpoint_crc(payload)
+        other = tmp_path / "other.ckpt"
+        other.write_text(json.dumps(payload))
+        study.load_checkpoint(other)
+        study.save_checkpoint()
+        _assert_reference_bytes(study, ckpt)
+        saved = json.loads(ckpt.read_text())
+        assert saved["results"][0]["runtimes_ms"] == [4.0]
+        assert saved["failures"][0]["message"] == "after"
+
+    def test_empty_results_and_failures(self, tmp_path):
+        ckpt = tmp_path / "sweep.ckpt"
+        study = ResilientStudy(reps=1, checkpoint=ckpt)
+        study.save_checkpoint()
+        _assert_reference_bytes(study, ckpt)
+        fresh = ResilientStudy(reps=1, checkpoint=ckpt)
+        assert fresh.load_checkpoint() == (0, 0)
+
+
 class TestGenerationRotation:
     def test_prev_generation_exists_and_verifies(self, seeded_checkpoint):
         prev = seeded_checkpoint.with_name(
@@ -99,6 +216,49 @@ class TestGenerationRotation:
         fresh = ResilientStudy(reps=1, checkpoint=ckpt)
         assert fresh.load_checkpoint() == (1, 0)
         assert fresh.checkpoint_fallbacks == 0
+
+    def test_own_clean_generations_rotate_without_a_reparse(
+            self, tmp_path, monkeypatch):
+        ckpt = tmp_path / "sweep.ckpt"
+        study = ResilientStudy(reps=1, checkpoint=ckpt)
+        reads = []
+        real_read = study._read_generation
+        monkeypatch.setattr(study, "_read_generation",
+                            lambda path: reads.append(path)
+                            or real_read(path))
+        for i, variant in enumerate(Variant):
+            _add_result(study, "cc", variant, [float(i)])
+            study.save_checkpoint()
+        prev = ckpt.with_name(ckpt.name + ".prev")
+        assert json.loads(prev.read_text())["results"][0]["runtimes_ms"] \
+            == [0.0]
+        assert reads == []
+        # a foreign writer's file gets the full check before rotating
+        ckpt.write_text(ckpt.read_text() + " ")
+        study.save_checkpoint()
+        assert reads == [ckpt]
+
+    @pytest.mark.parametrize("fault", ["torn", "bitflip"])
+    def test_mangled_write_is_never_rotated_over_a_good_prev(
+            self, tmp_path, fault):
+        ckpt = tmp_path / "sweep.ckpt"
+        prev = ckpt.with_name(ckpt.name + ".prev")
+        study = ResilientStudy(reps=1, checkpoint=ckpt)
+        _add_result(study, "cc", Variant.BASELINE, [1.0])
+        study.save_checkpoint()
+        _add_result(study, "cc", Variant.RACE_FREE, [2.0])
+        study.save_checkpoint()
+        good = ckpt.read_bytes()
+        plan = HostFaultPlan.parse(f"{fault}=1.0", targets=("*.ckpt",))
+        _add_result(study, "mis", Variant.BASELINE, [3.0])
+        with hostfaults.installed(plan):
+            study.save_checkpoint()  # rotates ``good``, writes garbage
+        assert prev.read_bytes() == good
+        assert ckpt.read_bytes() != good
+        _add_result(study, "mis", Variant.RACE_FREE, [4.0])
+        study.save_checkpoint()  # the mangled file must not rotate
+        assert prev.read_bytes() == good
+        _assert_reference_bytes(study, ckpt)
 
 
 class TestFallbackLadder:

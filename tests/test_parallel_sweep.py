@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro import ResilientStudy, Study
+from repro import ResilientStudy, Study, telemetry
 from repro.cli import main as cli_main
-from repro.core.parallel import JOBS_ENV, resolve_jobs
+from repro.core import parallel
+from repro.core.parallel import JOBS_ENV, CellTask, execute_tasks, resolve_jobs
 from repro.core.study import SpeedupCell
 from repro.errors import StudyError
 from repro.gpu.faults import FaultPlan
@@ -42,6 +43,37 @@ class TestResolveJobs:
             resolve_jobs()
         with pytest.raises(StudyError):
             resolve_jobs(0)
+
+
+class TestExecuteTasks:
+    def test_fault_free_run_is_one_generation_running_each_task_once(
+            self, monkeypatch):
+        pools, submitted = [], []
+
+        class CountingPool(parallel.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                pools.append(self)
+
+            def submit(self, fn, *args, **kwargs):
+                submitted.append(args[0])
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
+        tasks = [CellTask(a, name, DEVICE, ("baseline", "racefree"))
+                 for name in INPUTS for a in ALGOS]
+        merged = []
+        with telemetry.session() as (registry, _spans):
+            config = Study(reps=1)._worker_config()
+            execute_tasks(config, tasks, jobs=2, merge=merged.append)
+            respawns = registry.get("repro_host_pool_respawns_total")
+        assert len(pools) == 1
+        assert submitted == tasks
+        assert respawns is None or respawns.value() == 0
+        cells = [(r["algorithm"], r["input"], r["variant"])
+                 for r in merged if r["kind"] != "telemetry"]
+        assert cells == [(t.algorithm, t.graph_or_name, v)
+                         for t in tasks for v in t.variants]
 
 
 class TestParallelStudy:
