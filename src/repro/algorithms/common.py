@@ -14,6 +14,22 @@ def edge_sources(graph: CSRGraph) -> np.ndarray:
     )
 
 
+def compact_edges(keep: np.ndarray, *edge_arrays: np.ndarray) -> tuple:
+    """Filter edge-parallel arrays to the edges where ``keep`` is set.
+
+    The frontier idiom of the round-based runners: carrying only the
+    edges whose source is still active makes a round cost O(active
+    edges) instead of O(m).  Order is preserved, so a sorted source
+    array stays sorted (see :func:`edge_offsets`).
+    """
+    return tuple(a[keep] for a in edge_arrays)
+
+
+def edge_offsets(src: np.ndarray, n: int) -> np.ndarray:
+    """CSR row offsets of a sorted, possibly compacted, source array."""
+    return np.searchsorted(src, np.arange(n + 1))
+
+
 def segment_max(values: np.ndarray, row_offsets: np.ndarray,
                 empty: int) -> np.ndarray:
     """Per-vertex max of edge-parallel ``values``; ``empty`` for

@@ -10,9 +10,13 @@ geomean speedups of 0.96-1.00 (Tables IV-VII).
 Performance level: synchronous Jones-Plassmann rounds.  A vertex is
 *ready* when no uncolored neighbor has higher (degree, tiebreak)
 priority; ready vertices take the smallest color absent from their
-neighborhood.  The shortcut optimizations change *when* vertices become
-ready but not the access-kind profile this level prices, so they are
-approximated by the plain readiness rule (see DESIGN.md Section 6).
+neighborhood.  Priorities are unique, so a round's ready vertices are
+pairwise non-adjacent and one batched smallest-free-color pass colors
+them all from earlier rounds' colors; each round scans only the edges
+out of still-uncolored vertices, so it costs O(active edges), not O(m).
+The shortcut optimizations change *when* vertices become ready but not
+the access-kind profile this level prices, so they are approximated by
+the plain readiness rule (see DESIGN.md Section 6).
 
 SIMT level: a per-vertex round kernel over the colors *and* the
 possible-color bitsets, including the paper's shortcut 1 — the
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.common import edge_sources
+from repro.algorithms.common import compact_edges, edge_sources
 from repro.core.transform import AccessPlan, AccessSite, site_kind
 from repro.core.variants import AlgorithmInfo, Variant, register_algorithm
 from repro.gpu.accesses import AccessKind
@@ -60,13 +64,42 @@ def make_priorities(graph, seed: int) -> np.ndarray:
 # Performance level
 # ----------------------------------------------------------------------
 
+def smallest_free_colors(owner: np.ndarray, nbr_color: np.ndarray,
+                         vertices: np.ndarray, n: int) -> np.ndarray:
+    """Per-vertex smallest color absent from its neighbors' colors.
+
+    ``owner``/``nbr_color`` are edge-parallel (vertex, neighbor color)
+    pairs covering every edge out of ``vertices`` (sorted ascending);
+    uncolored neighbors (``< 0``) are ignored and colors are ``< n``.
+    Within a vertex's sorted distinct colors the ``i``-th equals ``i``
+    exactly up to the first gap, so the smallest free color is the
+    number of positions where color and rank agree.
+    """
+    colored = nbr_color >= 0
+    keys = np.unique(owner[colored] * n + nbr_color[colored])
+    vert = keys // n
+    rank = np.arange(keys.size) - np.searchsorted(vert, vert)
+    hits = vert[keys - vert * n == rank]
+    return (np.searchsorted(hits, vertices, side="right")
+            - np.searchsorted(hits, vertices, side="left"))
+
+
 def run_perf(graph, recorder, seed: int = 0) -> dict:
-    """Jones-Plassmann coloring with recorded accesses."""
+    """Jones-Plassmann coloring with recorded accesses.
+
+    A round touches only the edges out of still-uncolored vertices.
+    The graph is undirected (symmetric CSR) and priorities are unique,
+    so of two adjacent uncolored vertices one always blocks the other:
+    the vertices ready in one round are pairwise non-adjacent, their
+    colors depend only on colors set in earlier rounds, and one batched
+    smallest-free-color pass assigns them all.
+    """
     n = graph.num_vertices
     m = graph.num_edges
     src = edge_sources(graph)
     dst = graph.col_indices.astype(np.int64)
     prio = make_priorities(graph, seed)
+    higher = prio[dst] > prio[src]
     color = np.full(n, UNCOLORED, dtype=np.int64)
 
     recorder.touch("color", 4 * n)
@@ -75,12 +108,13 @@ def run_perf(graph, recorder, seed: int = 0) -> dict:
     recorder.store("gc.color.write", count=n)  # init kernel
     recorder.round()
 
+    pending = np.arange(n, dtype=np.int64)  # uncolored, ascending
     uncolored = np.ones(n, dtype=bool)
-    while np.any(uncolored):
+    blocked = np.zeros(n, dtype=bool)
+    while pending.size:
         recorder.round()
-        active_src = uncolored[src]
-        n_polls = int(np.count_nonzero(active_src))
-        n_active = int(np.count_nonzero(uncolored))
+        n_polls = int(src.size)
+        n_active = int(pending.size)
         recorder.structure(n_polls)
         # each active vertex polls its neighbors' colors and priorities
         # and maintains its possible-color set
@@ -91,25 +125,17 @@ def run_perf(graph, recorder, seed: int = 0) -> dict:
         recorder.compute(2 * n_polls)
 
         # blocked: an uncolored higher-priority neighbor exists
-        blocking = active_src & uncolored[dst] & (prio[dst] > prio[src])
-        blocked = np.zeros(n, dtype=bool)
-        np.logical_or.at(blocked, src[blocking], True)
-        ready = uncolored & ~blocked
-        ready_vs = np.flatnonzero(ready)
-
-        for v in ready_vs.tolist():
-            beg, end = graph.row_offsets[v], graph.row_offsets[v + 1]
-            neigh_colors = color[dst[beg:end]]
-            used = np.unique(neigh_colors[neigh_colors >= 0])
-            c = 0
-            for u in used.tolist():
-                if u == c:
-                    c += 1
-                elif u > c:
-                    break
-            color[v] = c
+        blocked[src[higher & uncolored[dst]]] = True
+        ready_vs = pending[~blocked[pending]]
+        keep = blocked[src]
+        at_ready = ~keep
+        color[ready_vs] = smallest_free_colors(
+            src[at_ready], color[dst[at_ready]], ready_vs, n)
         recorder.store("gc.color.write", indices=ready_vs)
         uncolored[ready_vs] = False
+        pending = pending[blocked[pending]]
+        src, dst, higher = compact_edges(keep, src, dst, higher)
+        blocked[pending] = False
     return {"colors": color}
 
 

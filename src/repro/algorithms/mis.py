@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.common import edge_sources, segment_max
+from repro.algorithms.common import (compact_edges, edge_offsets,
+                                     edge_sources, segment_max)
 from repro.core.transform import AccessPlan, AccessSite, site_kind
 from repro.core.variants import AlgorithmInfo, Variant, register_algorithm
 from repro.gpu.accesses import AccessKind
@@ -65,7 +66,7 @@ def make_priorities(graph, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     tiebreak = rng.permutation(graph.num_vertices).astype(np.int64)
     deg = graph.degrees().astype(np.int64)
-    inv = (deg.max() + 1 - deg)
+    inv = (deg.max(initial=0) + 1 - deg)  # initial: the 0-vertex graph
     return inv * graph.num_vertices + tiebreak
 
 
@@ -113,8 +114,10 @@ def run_perf(graph, recorder, seed: int = 0,
             break
         recorder.round()
         seen = view.read()
-        active = undecided[src]
-        n_polls = int(np.count_nonzero(active))
+        # only edges out of undecided vertices do any work
+        src, dst = compact_edges(undecided[src], src, dst)
+        offsets = edge_offsets(src, n)
+        n_polls = int(src.size)
         recorder.structure(n_polls)
         recorder.load("mis.nstat.poll", count=n_polls)
         recorder.load("mis.prio.read", count=n_polls)
@@ -123,10 +126,10 @@ def run_perf(graph, recorder, seed: int = 0,
         nbr_status = seen[dst]
         # OUT if any neighbor is (observed to be) IN
         in_nbr = segment_max((nbr_status == IN).astype(np.int64),
-                             graph.row_offsets, 0).astype(bool)
+                             offsets, 0).astype(bool)
         # IN if highest priority among (observed) undecided neighbors
         nbr_prio = np.where(nbr_status == UNDECIDED, prio[dst], -1)
-        max_undecided_nbr = segment_max(nbr_prio, graph.row_offsets, -1)
+        max_undecided_nbr = segment_max(nbr_prio, offsets, -1)
         wins = undecided & ~in_nbr & (prio > max_undecided_nbr)
         outs = undecided & in_nbr
 
