@@ -63,6 +63,7 @@ from repro.telemetry.metrics import SCOPE_PROCESS, get_registry
 from repro.telemetry.spans import get_spans
 from repro.utils.atomicio import atomic_write_text
 from repro.utils.backoff import BackoffPolicy
+from repro.utils.records import Damaged, decode
 
 CHECKPOINT_FORMAT = 3
 """On-disk checkpoint format version (results + failures).
@@ -79,6 +80,15 @@ def checkpoint_crc(payload: dict) -> int:
     the results and failures lists), independent of file formatting."""
     body = [payload.get("results", []), payload.get("failures", [])]
     return zlib.crc32(json.dumps(body, sort_keys=True).encode())
+
+
+_DAMAGE_MESSAGES = {
+    "torn": "corrupt or partial checkpoint {path}: {detail}",
+    "shape": "{path} is not a study checkpoint file",
+    "format": "checkpoint {path} has {detail} (loadable: {loadable})",
+    "checksum": ("checkpoint {path} failed its content checksum "
+                 "(bit rot or partial overwrite)"),
+}
 
 
 class _CheckpointDamaged(StudyError):
@@ -678,27 +688,17 @@ class ResilientStudy(Study):
         over by the ``.prev`` generation.
         """
         try:
-            text = Path(path).read_text()
+            payload = decode(Path(path).read_bytes(),
+                             formats=_LOADABLE_FORMATS, crc=checkpoint_crc,
+                             unchecked=(2,),
+                             shape=lambda p: "results" in p)
         except OSError as exc:
             raise _CheckpointDamaged(
                 f"corrupt or partial checkpoint {path}: {exc}") from exc
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise _CheckpointDamaged(
-                f"corrupt or partial checkpoint {path}: {exc}") from exc
-        if not isinstance(payload, dict) or "results" not in payload:
-            raise _CheckpointDamaged(
-                f"{path} is not a study checkpoint file")
-        if payload.get("format") not in _LOADABLE_FORMATS:
-            raise _CheckpointDamaged(
-                f"checkpoint {path} has unsupported format "
-                f"{payload.get('format')!r} (loadable: "
-                f"{_LOADABLE_FORMATS})")
-        if "crc" in payload and payload["crc"] != checkpoint_crc(payload):
-            raise _CheckpointDamaged(
-                f"checkpoint {path} failed its content checksum "
-                "(bit rot or partial overwrite)")
+        except Damaged as exc:
+            raise _CheckpointDamaged(_DAMAGE_MESSAGES[exc.cause].format(
+                path=path, detail=exc,
+                loadable=_LOADABLE_FORMATS)) from exc
         if (payload.get("reps") != self.reps
                 or payload.get("scale") != self.scale):
             raise StudyError(

@@ -447,8 +447,8 @@ class Study:
     def _load_payload(self, path: str | Path) -> dict:
         """Parse and protocol-check a saved log; StudyError on damage."""
         try:
-            payload = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise StudyError(
                 f"corrupt or partial results file {path}: {exc}"
             ) from exc

@@ -40,7 +40,6 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.errors import ProtocolError, ServiceError
-from repro.perf.trace import TraceCache
 from repro.service.fleet import FleetExecutor
 from repro.service.protocol import (
     HttpRequest,
@@ -115,8 +114,8 @@ class SweepService:
 
     def __init__(self, config: ServiceConfig) -> None:
         self.config = config
-        trace_cache = (TraceCache(disk_dir=config.trace_dir)
-                       if config.trace_dir else None)
+        # a directory path: the study builds its own disk-backed cache
+        trace_cache = config.trace_dir or None
         if config.workers > 1:
             store = (ResultStore(config.store_dir, reps=config.reps,
                                  scale=config.scale)

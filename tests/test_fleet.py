@@ -25,6 +25,8 @@ from repro.service.scheduler import StudyExecutor
 from repro.service.server import ServiceConfig, SweepService
 from repro.service.store import ResultStore
 
+from .ladders import make_records
+
 CELLS = (CellKey("cc", "internet", "titanv"),
          CellKey("mis", "internet", "titanv"))
 
@@ -136,59 +138,27 @@ class TestFleetFailover:
 # ----------------------------------------------------------------------
 # The content-addressed shared result store
 # ----------------------------------------------------------------------
-def _records() -> list[dict]:
-    return [{"kind": "result", "algorithm": "cc", "input": "internet",
-             "device": "titanv", "variant": variant,
-             "runtimes_ms": [1.5]} for variant in ("baseline",
-                                                   "race_free")]
-
-
 class TestResultStore:
-    def test_publish_lookup_roundtrip(self, tmp_path):
-        store = ResultStore(tmp_path / "store", reps=1, scale=1.0)
-        store.publish("cc", "internet", "titanv", _records())
-        assert store.lookup("cc", "internet", "titanv") == _records()
-        # a cold replica sees the published record from disk
-        other = ResultStore(tmp_path / "store", reps=1, scale=1.0)
-        assert other.lookup("cc", "internet", "titanv") == _records()
+    """Store-specific identity and failure cases; the shared record
+    ladder (roundtrip, torn, bitflip, shape, degrade, prune) runs in
+    ``test_hostfaults.TestResultStoreSelfHealing`` and
+    ``test_trace_replay.TestResultStorePrune``."""
 
     def test_policy_mismatch_is_a_miss(self, tmp_path):
         store = ResultStore(tmp_path / "store", reps=1, scale=1.0)
-        store.publish("cc", "internet", "titanv", _records())
+        store.publish("cc", "internet", "titanv", make_records())
         other = ResultStore(tmp_path / "store", reps=3, scale=1.0)
         assert other.lookup("cc", "internet", "titanv") is None
-
-    def test_corrupt_record_is_quarantined(self, tmp_path):
-        store = ResultStore(tmp_path / "store", reps=1, scale=1.0)
-        store.publish("cc", "internet", "titanv", _records())
-        (path,) = list((tmp_path / "store").glob("cell-*.json"))
-        blob = json.loads(path.read_text())
-        blob["records"][0]["runtimes_ms"] = [999.0]  # CRC now stale
-        path.write_text(json.dumps(blob))
-        cold = ResultStore(tmp_path / "store", reps=1, scale=1.0)
-        assert cold.lookup("cc", "internet", "titanv") is None
-        assert cold.quarantined == 1
-        assert list((tmp_path / "store").glob("*.corrupt"))
-        assert not path.exists()
-
-    def test_torn_write_is_quarantined(self, tmp_path):
-        store = ResultStore(tmp_path / "store", reps=1, scale=1.0)
-        store.publish("cc", "internet", "titanv", _records())
-        (path,) = list((tmp_path / "store").glob("cell-*.json"))
-        path.write_text(path.read_text()[: len(path.read_text()) // 2])
-        cold = ResultStore(tmp_path / "store", reps=1, scale=1.0)
-        assert cold.lookup("cc", "internet", "titanv") is None
-        assert cold.quarantined == 1
 
     def test_disk_failure_sticky_degrades_to_memory(self, tmp_path):
         blocker = tmp_path / "store"
         blocker.write_text("not a directory")
         store = ResultStore(blocker, reps=1, scale=1.0)
         for i in range(3):
-            store.publish("cc", "internet", f"dev{i}", _records())
+            store.publish("cc", "internet", f"dev{i}", make_records())
         assert store.degraded is True
         # memory mirror still serves what this process published
-        assert store.lookup("cc", "internet", "dev0") == _records()
+        assert store.lookup("cc", "internet", "dev0") == make_records()
         status = store.status()
         assert status["degraded"] is True
         assert status["disk_errors"] >= 3
@@ -313,7 +283,7 @@ class TestServiceFleet:
             assert "fleet_respawn_exhausted" in payload["reasons"]
 
             # a sticky-degraded store is a second, independent reason
-            service.executor.store._degraded = True
+            service.executor.store.disk.degraded = True
             status, _head, body = await _fetch(host, port, "GET",
                                                "/readyz")
             assert status == 503

@@ -1,11 +1,12 @@
 """Tests for host-fault injection (repro.core.hostfaults) and the
-self-healing trace cache (repro.perf.trace, format 2).
+self-healing record stores (repro.utils.records under the trace cache
+and the shared result store).
 
 Covers spec parsing/validation, deterministic seeded draws, filename
 targeting, each storage fault's observable effect through
 ``atomic_write_text``, the no-op byte-identity guarantee (no plan, and
 an installed all-zero-rate plan), the parent-directory fsync, and the
-trace cache's quarantine / checksum / degrade-to-memory behaviour.
+stores' quarantine / checksum / degrade-to-memory behaviour.
 """
 
 from __future__ import annotations
@@ -27,18 +28,12 @@ from repro.core.hostfaults import (
     HostFaultPlan,
     HostFaultSpec,
 )
-from repro.core.variants import Variant
 from repro.errors import FaultConfigError
-from repro.gpu.timing import AccessStats
-from repro.perf.trace import (
-    DEGRADE_AFTER,
-    TRACE_FORMAT,
-    Trace,
-    TraceCache,
-    payload_crc,
-)
 from repro.utils import atomicio
 from repro.utils.atomicio import atomic_write_text
+from repro.utils.records import DEGRADE_AFTER, payload_crc
+
+from .ladders import StoreLadder, TraceLadder
 
 
 @pytest.fixture(autouse=True)
@@ -248,115 +243,124 @@ def test_atomic_write_fsyncs_parent_directory(tmp_path, monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Self-healing trace cache
+# Self-healing record stores: one ladder suite, run per store
 # ----------------------------------------------------------------------
-def _trace(seed: int = 0) -> Trace:
-    stats = AccessStats()
-    stats.rounds = 3
-    return Trace(algorithm="cc", variant=Variant.BASELINE, seed=seed,
-                 staleness_rounds=-1, graph_fp=f"graph{seed}",
-                 plan_fp="plan", stats=stats, output_fp="out", output=None)
+class _SelfHealingSuite:
+    """The quarantine / checksum / degrade ladder every
+    :class:`~repro.utils.records.RecordDir` store must show."""
 
+    LADDER = TraceLadder
 
-class TestTraceCacheSelfHealing:
-    def test_disk_roundtrip_with_checksum(self, tmp_path):
-        writer = TraceCache(disk_dir=tmp_path)
-        trace = _trace()
-        writer.store(trace)
-        files = list(tmp_path.glob("trace-*.json"))
+    @pytest.fixture
+    def ladder(self, tmp_path):
+        return self.LADDER(tmp_path)
+
+    def _enospc(self, ladder):
+        return hostfaults.installed(HostFaultPlan.parse(
+            "enospc=1.0", targets=(ladder.pattern,)))
+
+    def test_disk_roundtrip_with_checksum(self, ladder, tmp_path):
+        ladder.put(0)
+        assert ladder.get(0) == ladder.expected(0)  # memory layer
+        files = list(tmp_path.glob(ladder.pattern))
         assert len(files) == 1
         payload = json.loads(files[0].read_text())
-        assert payload["format"] == TRACE_FORMAT
+        assert payload["format"] == ladder.fmt
         assert payload["crc"] == payload_crc(payload)
-        reader = TraceCache(disk_dir=tmp_path)
-        hit = reader.lookup(trace.key())
-        assert hit is not None and hit.rounds == 3 and hit.output is None
-        assert reader.disk_hits == 1 and reader.quarantined == 0
+        reader = ladder.reopen()
+        assert reader.get(0) == ladder.expected(0)  # disk layer
+        assert reader.obj.quarantined == 0
 
-    def test_torn_file_quarantined_then_healed(self, tmp_path):
-        writer = TraceCache(disk_dir=tmp_path)
-        trace = _trace()
-        writer.store(trace)
-        path = next(tmp_path.glob("trace-*.json"))
+    def test_torn_file_quarantined_then_healed(self, ladder, tmp_path):
+        ladder.put(0)
+        path = next(tmp_path.glob(ladder.pattern))
         path.write_text(path.read_text()[: len(path.read_text()) // 2])
 
-        reader = TraceCache(disk_dir=tmp_path)
-        assert reader.lookup(trace.key()) is None
-        assert reader.quarantined == 1
+        reader = ladder.reopen()
+        assert reader.get(0) is None
+        assert reader.obj.quarantined == 1
         assert not path.exists()
         corpses = list(tmp_path.glob("*.corrupt"))
         assert len(corpses) == 1
-        # re-recording heals the slot; the corpse stays for post-mortem
-        reader.store(trace)
-        healed = TraceCache(disk_dir=tmp_path)
-        assert healed.lookup(trace.key()) is not None
+        # re-writing heals the slot; the corpse stays for post-mortem
+        reader.put(0)
+        assert ladder.reopen().get(0) == ladder.expected(0)
         assert list(tmp_path.glob("*.corrupt")) == corpses
 
-    def test_bitflip_caught_by_checksum(self, tmp_path):
-        writer = TraceCache(disk_dir=tmp_path)
-        trace = _trace()
-        writer.store(trace)
-        path = next(tmp_path.glob("trace-*.json"))
-        path.write_text(path.read_text().replace('"output_fp": "out"',
-                                                 '"output_fp": "oot"'))
-        reader = TraceCache(disk_dir=tmp_path)
-        assert reader.lookup(trace.key()) is None
-        assert reader.quarantined == 1
+    def test_bitflip_caught_by_checksum(self, ladder, tmp_path):
+        ladder.put(0)
+        path = next(tmp_path.glob(ladder.pattern))
+        text = path.read_text()
+        assert ladder.flip[0] in text
+        path.write_text(text.replace(*ladder.flip))
+        reader = ladder.reopen()
+        assert reader.get(0) is None
+        assert reader.obj.quarantined == 1
         assert list(tmp_path.glob("*.corrupt"))
+        assert not path.exists()
 
-    def test_wrong_shape_quarantined(self, tmp_path):
-        writer = TraceCache(disk_dir=tmp_path)
-        trace = _trace()
-        writer.store(trace)
-        path = next(tmp_path.glob("trace-*.json"))
+    def test_wrong_shape_quarantined(self, ladder, tmp_path):
+        ladder.put(0)
+        path = next(tmp_path.glob(ladder.pattern))
         path.write_text("[1, 2, 3]")
-        reader = TraceCache(disk_dir=tmp_path)
-        assert reader.lookup(trace.key()) is None
-        assert reader.quarantined == 1
+        reader = ladder.reopen()
+        assert reader.get(0) is None
+        assert reader.obj.quarantined == 1
 
-    def test_old_format_is_a_plain_miss_not_a_quarantine(self, tmp_path):
-        writer = TraceCache(disk_dir=tmp_path)
-        trace = _trace()
-        writer.store(trace)
-        path = next(tmp_path.glob("trace-*.json"))
+    def test_old_format_is_a_plain_miss_not_a_quarantine(self, ladder,
+                                                         tmp_path):
+        ladder.put(0)
+        path = next(tmp_path.glob(ladder.pattern))
         payload = json.loads(path.read_text())
-        payload["format"] = 1
+        payload["format"] = ladder.fmt - 1
         path.write_text(json.dumps(payload))
-        reader = TraceCache(disk_dir=tmp_path)
-        assert reader.lookup(trace.key()) is None
-        assert reader.quarantined == 0
-        assert path.exists()  # left in place to be re-recorded over
+        reader = ladder.reopen()
+        assert reader.get(0) is None
+        assert reader.obj.quarantined == 0
+        assert path.exists()  # left in place to be re-written over
 
     def test_degrades_to_memory_after_consecutive_disk_errors(
-            self, tmp_path):
-        plan = HostFaultPlan.parse("enospc=1.0",
-                                   targets=("trace-*.json",))
-        cache = TraceCache(disk_dir=tmp_path)
-        with hostfaults.installed(plan):
-            for seed in range(DEGRADE_AFTER):
-                cache.store(_trace(seed))
-            assert cache.degraded
-            assert cache.disk_errors == DEGRADE_AFTER
+            self, ladder, tmp_path):
+        with self._enospc(ladder):
+            for i in range(DEGRADE_AFTER):
+                ladder.put(i)
+            assert ladder.obj.degraded
+            assert ladder.obj.disk_errors == DEGRADE_AFTER
             # degraded mode stops touching the disk entirely
-            cache.store(_trace(DEGRADE_AFTER))
-            assert cache.disk_errors == DEGRADE_AFTER
+            ladder.put(DEGRADE_AFTER)
+            assert ladder.obj.disk_errors == DEGRADE_AFTER
         # the memory layer never lost anything
-        assert len(cache) == DEGRADE_AFTER + 1
-        for seed in range(DEGRADE_AFTER + 1):
-            assert cache.lookup(_trace(seed).key()) is not None
-        assert not list(tmp_path.glob("trace-*.json"))
+        assert ladder.memory_entries() == DEGRADE_AFTER + 1
+        for i in range(DEGRADE_AFTER + 1):
+            assert ladder.get(i) == ladder.expected(i)
+        assert not list(tmp_path.glob(ladder.pattern))
+
+    def test_degraded_store_never_reads_disk(self, ladder, tmp_path):
+        with self._enospc(ladder):
+            for i in range(DEGRADE_AFTER):
+                ladder.put(i)
+        assert ladder.obj.degraded
+        healthy = ladder.reopen()
+        healthy.put(7)
+        assert ladder.reopen().get(7) == ladder.expected(7)
+        assert ladder.get(7) is None  # on disk, but never read
 
     def test_intervening_success_resets_the_degrade_counter(
-            self, tmp_path):
-        plan = HostFaultPlan.parse("enospc=1.0",
-                                   targets=("trace-*.json",))
-        cache = TraceCache(disk_dir=tmp_path)
-        with hostfaults.installed(plan):
-            cache.store(_trace(0))
-            cache.store(_trace(1))
-        cache.store(_trace(2))  # uninjected: succeeds, resets the run
-        with hostfaults.installed(plan):
-            cache.store(_trace(3))
-            cache.store(_trace(4))
-        assert cache.disk_errors == 4
-        assert not cache.degraded
+            self, ladder):
+        with self._enospc(ladder):
+            ladder.put(0)
+            ladder.put(1)
+        ladder.put(2)  # uninjected: succeeds, resets the run
+        with self._enospc(ladder):
+            ladder.put(3)
+            ladder.put(4)
+        assert ladder.obj.disk_errors == 4
+        assert not ladder.obj.degraded
+
+
+class TestTraceCacheSelfHealing(_SelfHealingSuite):
+    LADDER = TraceLadder
+
+
+class TestResultStoreSelfHealing(_SelfHealingSuite):
+    LADDER = StoreLadder

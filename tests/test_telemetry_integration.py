@@ -155,10 +155,10 @@ def test_record_replay_source_counter(tmp_path):
         fam = registry.get("repro_perf_trace_source_total")
         assert fam.value("record") == 2
         assert fam.value("replay") == 2
-        events = registry.get("repro_trace_cache_events_total")
-        assert events.value("record") == 2
-        assert events.value("disk_hit") == 2
-        assert registry.get("repro_trace_cache_disk_entries").value() == 2
+        events = registry.get("repro_store_events_total")
+        assert events.value("trace", "record") == 2
+        assert events.value("trace", "disk_hit") == 2
+        assert registry.get("repro_store_disk_entries").value("trace") == 2
 
 
 def test_cells_total_counts_outcomes():

@@ -26,6 +26,8 @@ from repro.perf.engine import noise_multiplier, run_algorithm
 from repro.perf.trace import TraceCache, plan_fingerprint
 from repro.perf.trace import stable_config_hash
 
+from .ladders import StoreLadder, TraceLadder
+
 
 def _graph_for(algo):
     if algo.key == "apsp":
@@ -168,111 +170,122 @@ class TestTraceCache:
         assert len(cache) == 0
 
 
-class TestPrune:
-    def _fill(self, tmp_path, n: int) -> TraceCache:
-        """Record n distinct traces into a disk-backed cache with
-        strictly increasing mtimes (oldest = lowest seed)."""
-        cache = TraceCache(disk_dir=tmp_path)
-        algo = get_algorithm("cc")
-        graph = _graph_for(algo)
-        spec = get_device("titanv")
-        for seed in range(n):
-            run_algorithm(algo, graph, spec, Variant.BASELINE,
-                          seed=seed, trace_cache=cache)
-        files = sorted(tmp_path.glob("trace-*.json"))
+class _PruneSuite:
+    """Byte-budget eviction of a :class:`~repro.utils.records.RecordDir`
+    store, run per store."""
+
+    LADDER = TraceLadder
+
+    def _fill(self, tmp_path, n: int):
+        """Write n distinct records, then give them strictly
+        increasing mtimes in file-name order."""
+        ladder = self.LADDER(tmp_path)
+        for i in range(n):
+            ladder.put(i)
+        files = sorted(tmp_path.glob(ladder.pattern))
         assert len(files) == n
         for i, path in enumerate(files):
             os.utime(path, (1_000_000 + i, 1_000_000 + i))
-        return cache
+        return ladder
 
     def test_prune_evicts_oldest_first(self, tmp_path):
-        cache = self._fill(tmp_path, 4)
-        files = sorted(tmp_path.glob("trace-*.json"),
+        ladder = self._fill(tmp_path, 4)
+        files = sorted(tmp_path.glob(ladder.pattern),
                        key=lambda p: p.stat().st_mtime)
-        entries, nbytes = cache.disk_usage()
+        entries, nbytes = ladder.usage()
         assert entries == 4
         keep = sum(p.stat().st_size for p in files[2:])
-        removed, freed = cache.prune(keep)
+        removed, freed = ladder.prune(keep)
         assert removed == 2
         assert freed == nbytes - keep
-        survivors = set(tmp_path.glob("trace-*.json"))
+        survivors = set(tmp_path.glob(ladder.pattern))
         assert survivors == set(files[2:])
 
     def test_prune_zero_clears_the_layer(self, tmp_path):
-        cache = self._fill(tmp_path, 2)
-        removed, _freed = cache.prune(0)
+        ladder = self._fill(tmp_path, 2)
+        removed, _freed = ladder.prune(0)
         assert removed == 2
-        assert cache.disk_usage() == (0, 0)
+        assert ladder.usage() == (0, 0)
 
     def test_prune_noop_when_under_budget(self, tmp_path):
-        cache = self._fill(tmp_path, 2)
-        assert cache.prune(10**9) == (0, 0)
-        assert cache.disk_usage()[0] == 2
+        ladder = self._fill(tmp_path, 2)
+        assert ladder.prune(10**9) == (0, 0)
+        assert ladder.usage()[0] == 2
 
     def test_prune_rejects_negative_budget(self, tmp_path):
         with pytest.raises(ValueError, match="max_bytes"):
-            TraceCache(disk_dir=tmp_path).prune(-1)
+            self.LADDER(tmp_path).prune(-1)
 
     def test_prune_keeps_memory_layer(self, tmp_path):
-        cache = self._fill(tmp_path, 2)
-        cache.prune(0)
-        assert len(cache) == 2  # memory traces survive disk eviction
+        ladder = self._fill(tmp_path, 2)
+        ladder.prune(0)
+        # memory entries survive disk eviction
+        assert ladder.memory_entries() == 2
 
     def test_prune_evicts_quarantine_first(self, tmp_path):
         # a quarantined file with the *newest* mtime still goes before
-        # any live trace: it serves no lookups and must never crowd
+        # any live record: it serves no lookups and must never crowd
         # them out of the byte budget
-        cache = self._fill(tmp_path, 3)
-        live = sorted(tmp_path.glob("trace-*.json"))
-        corrupt = tmp_path / "trace-feedface.json.corrupt"
+        ladder = self._fill(tmp_path, 3)
+        live = sorted(tmp_path.glob(ladder.pattern))
+        corrupt = tmp_path / f"{ladder.prefix}-feedface.json.corrupt"
         corrupt.write_bytes(b"x" * 64)
         os.utime(corrupt, (2_000_000, 2_000_000))
         budget = sum(p.stat().st_size for p in live)
-        removed, freed = cache.prune(budget)
+        removed, freed = ladder.prune(budget)
         assert (removed, freed) == (1, 64)
         assert not corrupt.exists()
-        assert set(tmp_path.glob("trace-*.json")) == set(live)
+        assert set(tmp_path.glob(ladder.pattern)) == set(live)
 
     def test_prune_counts_quarantine_toward_budget(self, tmp_path):
         # budget smaller than quarantine + live: the corrupt file goes
-        # first, then live traces oldest-first until the layer fits
-        cache = self._fill(tmp_path, 2)
-        live = sorted(tmp_path.glob("trace-*.json"),
+        # first, then live records oldest-first until the layer fits
+        ladder = self._fill(tmp_path, 2)
+        live = sorted(tmp_path.glob(ladder.pattern),
                       key=lambda p: p.stat().st_mtime)
-        corrupt = tmp_path / "trace-feedface.json.corrupt"
+        corrupt = tmp_path / f"{ladder.prefix}-feedface.json.corrupt"
         corrupt.write_bytes(b"x" * 64)
         keep = sum(p.stat().st_size for p in live[1:])
-        removed, _freed = cache.prune(keep)
-        assert removed == 2  # the corrupt file + the oldest live trace
+        removed, _freed = ladder.prune(keep)
+        assert removed == 2  # the corrupt file + the oldest live record
         assert not corrupt.exists()
-        assert set(tmp_path.glob("trace-*.json")) == set(live[1:])
+        assert set(tmp_path.glob(ladder.pattern)) == set(live[1:])
 
     def test_prune_quarantine_counter(self, tmp_path):
         from repro import telemetry
 
-        cache = TraceCache(disk_dir=tmp_path)
-        (tmp_path / "trace-0badc0de.json.corrupt").write_bytes(b"y" * 8)
+        ladder = self._fill(tmp_path, 1)
+        (tmp_path / f"{ladder.prefix}-0badc0de.json.corrupt"
+         ).write_bytes(b"y" * 8)
         try:
             registry, _spans = telemetry.enable()
-            cache.prune(0)
-            assert registry.get(
-                "repro_trace_prune_quarantined").value() == 1
+            ladder.prune(0)
+            assert registry.get("repro_store_events_total").value(
+                ladder.store, "prune_quarantined") == 1
         finally:
             telemetry.disable()
 
     def test_prune_updates_disk_gauges(self, tmp_path):
         from repro import telemetry
 
-        cache = self._fill(tmp_path, 3)
+        ladder = self._fill(tmp_path, 3)
         try:
             registry, _spans = telemetry.enable()
-            cache.prune(0)
-            assert registry.get(
-                "repro_trace_cache_disk_entries").value() == 0
-            assert registry.get(
-                "repro_trace_cache_disk_bytes").value() == 0
+            ladder.prune(0)
+            assert registry.get("repro_store_disk_entries").value(
+                ladder.store) == 0
+            assert registry.get("repro_store_disk_bytes").value(
+                ladder.store) == 0
         finally:
             telemetry.disable()
+
+
+class TestPrune(_PruneSuite):
+    LADDER = TraceLadder
+
+
+class TestResultStorePrune(_PruneSuite):
+    LADDER = StoreLadder
 
 
 class TestStableNoise:
