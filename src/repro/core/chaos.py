@@ -1,7 +1,7 @@
 """Chaos harness: prove the sweep stack survives host failures.
 
 Each :class:`ChaosScenario` runs a *real* mini-sweep (the same
-:class:`~repro.core.resilience.ResilientStudy` + pool-executor path the
+:class:`~repro.core.resilience.ResilientStudy` + worker-supervisor path the
 paper tables use) under one injected host failure mode from
 :mod:`repro.core.hostfaults`, then asserts the two invariants the
 robustness layer promises:
@@ -49,7 +49,7 @@ from repro.core.resilience import ResilientStudy
 from repro.errors import StudyError
 
 #: mini-sweep grid: small suite inputs, two racy algorithms — large
-#: enough to need the pool and the trace cache, small enough for CI
+#: enough to need the workers and the trace cache, small enough for CI
 ALGOS = ("cc", "mis")
 INPUTS = ("internet", "USA-road-d.NY")
 DEVICE = "titanv"
@@ -142,7 +142,7 @@ def scenario_suite(jobs: int = 4) -> list[ChaosScenario]:
             two_phase_traces=True),
         ChaosScenario(
             name="worker-kill",
-            description="every first-generation pool worker is SIGKILLed",
+            description="every first-generation worker is SIGKILLed",
             spec="kill=1.0", disrupt_generations=1, jobs=jobs),
         ChaosScenario(
             name="worker-stall",
@@ -170,8 +170,7 @@ def _study(reps: int, checkpoint: Path | None,
     study = ResilientStudy(
         reps=reps, checkpoint=checkpoint,
         trace_cache=trace_dir if trace_dir is not None else False)
-    if task_deadline_s is not None:
-        study.pool_task_deadline_s = task_deadline_s
+    study.task_deadline_s = task_deadline_s
     return study
 
 
@@ -290,12 +289,13 @@ def _dechunk(body: bytes) -> bytes:
 def run_serve_scenario(workdir: Path, device: str,
                        algorithms: list[str], inputs: list[str],
                        reps: int, seed: int,
-                       jobs: int = 2) -> ChaosOutcome:
+                       workers: int = 2) -> ChaosOutcome:
     """Chaos-drill the job server end to end.
 
-    Under worker kills (every first-generation pool worker) plus torn
-    trace writes, two concurrent clients request the same study over
-    real sockets; the scenario asserts that
+    Under worker kills (every first-generation worker of a
+    ``workers``-slot fleet) plus torn trace writes, two concurrent
+    clients request the same study over real sockets; the scenario
+    asserts that
 
     * both clients receive every cell with ``status: ok``,
     * the grid was *executed* exactly once (coalescing + the study
@@ -333,7 +333,7 @@ def run_serve_scenario(workdir: Path, device: str,
         "kill=1.0,torn=0.4", seed=seed, targets=("trace-*.json",),
         disrupt_generations=1)
     config = ServiceConfig(
-        port=0, reps=reps, retries=0, jobs=jobs,
+        port=0, reps=reps, retries=0, workers=workers,
         trace_dir=str(root / "traces"), checkpoint=str(ckpt),
         drain_deadline_s=60.0)
     body = {"algorithms": list(algorithms), "inputs": list(inputs),
@@ -390,7 +390,7 @@ def run_serve_scenario(workdir: Path, device: str,
                 problems.append(
                     f"{tenant} got {len(good)} ok of {len(cells)} "
                     f"cells, wanted {n_cells}")
-        # the pool path executes each cell's two variants as separate
+        # workers execute each cell's two variants as separate
         # records; two clients must still cost exactly one grid
         executed = service.executor.study.cells_executed
         if executed != 2 * n_cells:
@@ -725,7 +725,7 @@ def run_chaos(device: str = DEVICE, inputs: list[str] | None = None,
     ]
     outcomes.append(run_serve_scenario(
         workdir, device, algorithms, inputs, reps, seed,
-        jobs=max(2, min(jobs, 4))))
+        workers=max(2, min(jobs, 4))))
     outcomes.append(run_fleet_scenario(
         workdir, device, algorithms, inputs, reps, seed))
     return ChaosReport(

@@ -2,8 +2,8 @@
 
 :mod:`repro.gpu.faults` makes the simulated GPU adversarial; this
 module does the same for the infrastructure the sweep itself runs on —
-the disk that holds checkpoints and trace-cache files, and the pool
-worker processes that execute cells.  The paper's methodology (Section
+the disk that holds checkpoints and trace-cache files, and the worker
+processes that execute cells.  The paper's methodology (Section
 V: nine repetitions, medians, multi-hour sweeps over 4 GPUs x 27
 inputs) only holds up if a campaign survives the host failing under it,
 so the failure modes here are the classic ones of long-running
@@ -16,14 +16,15 @@ measurement harnesses:
 * ``enospc``  — the write fails with ``ENOSPC`` (the scratch disk
   filled up under the sweep).
 * ``eio``     — the write fails with ``EIO`` (a dying disk).
-* ``kill``    — the pool worker executing a task is SIGKILLed mid-task
+* ``kill``    — the worker executing a task is SIGKILLed mid-task
   (the OOM killer; an operator's stray ``kill -9``).
 * ``stall``   — the worker stops making progress for a long window
   (NFS hang, cgroup freeze, paging storm).
 
 Everything is *seeded and deterministic*: storage decisions derive from
 a stable digest of (plan seed, kind, file name, per-file write index),
-worker disruptions from (plan seed, kind, cell key, pool generation) —
+worker disruptions from (plan seed, kind, worker slot, cell key, slot
+generation) —
 never Python's randomized ``hash()`` — so a failing chaos run replays
 exactly.  With no plan installed the hooks are absent and every write
 is byte-identical to an uninjected tree.
@@ -37,11 +38,12 @@ Plug-in points
   the injector.  ``targets`` globs scope the blast radius (e.g.
   ``("trace-*.json",)`` faults only the trace cache).
 * :class:`~repro.core.parallel.WorkerConfig` carries the active plan
-  into pool workers, where :func:`maybe_disrupt` is consulted once per
-  task for ``kill``/``stall``.
+  into worker processes, where :func:`maybe_disrupt` is consulted once
+  per dispatched task for ``kill``/``stall``.
 * ``disrupt_generations=N`` limits worker disruptions to the first N
-  pool generations, so a chaos scenario with ``kill=1.0`` still
-  converges once the pool has been respawned N times.
+  incarnations of each worker slot (the slot generation counts its
+  respawns), so a chaos scenario with ``kill=1.0`` still converges once
+  each slot has been respawned N times.
 
 See ``docs/robustness.md`` ("Host faults") for the fault -> detection
 -> recovery -> telemetry matrix, and :mod:`repro.core.chaos` for the
@@ -87,7 +89,7 @@ STORAGE_KINDS = frozenset({
     HostFaultKind.IO_ERROR,
 })
 
-#: kinds applied to pool worker processes, once per task
+#: kinds applied to worker processes, once per dispatched task
 DISRUPTION_KINDS = frozenset({
     HostFaultKind.WORKER_KILL,
     HostFaultKind.WORKER_STALL,
@@ -99,7 +101,7 @@ class HostFaultSpec:
     """One host fault kind with its per-opportunity trigger probability.
 
     The opportunity is one atomic write for the storage kinds and one
-    (task, pool generation) execution for the worker kinds.
+    (slot, task, slot generation) execution for the worker kinds.
     """
 
     kind: HostFaultKind
@@ -129,13 +131,14 @@ class HostFaultPlan:
     stall_seconds:
         How long an injected worker stall sleeps.
     disrupt_generations:
-        Worker ``kill``/``stall`` fire only while the pool generation is
-        below this bound (``None`` = always eligible).  A plan with
-        ``kill=1.0, disrupt_generations=1`` kills every first-generation
-        worker and lets the respawned pool finish — the deterministic
-        "every worker OOMs once" scenario.
+        Worker ``kill``/``stall`` fire only while the slot generation
+        (its respawn count) is below this bound (``None`` = always
+        eligible).  A plan with ``kill=1.0, disrupt_generations=1``
+        kills every first-generation worker and lets the respawned
+        slots finish — the deterministic "every worker OOMs once"
+        scenario.
 
-    The plan is picklable (it is shipped to pool workers inside
+    The plan is picklable (it is shipped to workers inside
     :class:`~repro.core.parallel.WorkerConfig`) and holds no mutable
     state; per-write counters live in the :class:`HostFaultInjector`.
     """
@@ -296,7 +299,7 @@ _INJECTOR: HostFaultInjector | None = None
 def install(plan: HostFaultPlan) -> HostFaultInjector:
     """Activate ``plan`` process-wide: register the atomicio write
     filter and make the plan visible to :func:`active_plan` (which is
-    how pool workers inherit it via ``WorkerConfig``)."""
+    how workers inherit it via ``WorkerConfig``)."""
     global _PLAN, _INJECTOR
     _PLAN = plan
     _INJECTOR = HostFaultInjector(plan)
@@ -333,46 +336,29 @@ def installed(plan: HostFaultPlan):
 
 
 # ----------------------------------------------------------------------
-# Worker-process disruptions (consulted once per pool task)
+# Worker-process disruptions (consulted once per dispatched task)
 # ----------------------------------------------------------------------
-def maybe_disrupt(plan: HostFaultPlan | None, key: tuple,
+def maybe_disrupt(plan: HostFaultPlan | None, slot: int, key: tuple,
                   generation: int) -> None:
     """Apply ``kill``/``stall`` for one worker task.
 
-    ``key`` is the cell task identity (algorithm, input, device) and
-    ``generation`` the pool incarnation executing it, so a task
-    resubmitted after a pool respawn draws a fresh decision.  A kill is
-    a real ``SIGKILL`` to the worker's own pid — the parent sees
-    ``BrokenProcessPool``, exactly as it would for the OOM killer.
-    ``plan=None`` (no injection installed) is a no-op.
+    The draw is keyed on the worker slot id, the cell identity ``key``
+    (algorithm, input, device) and ``generation`` — the slot's respawn
+    count — so a task redispatched to a respawned slot draws a fresh
+    decision, and with ``disrupt_generations=N`` only the first N
+    incarnations of each slot are disrupted.  A kill is a real
+    ``SIGKILL`` to the worker's own pid — the supervisor sees its pipe
+    close, exactly as it would for the OOM killer.  ``plan=None`` (no
+    injection installed) is a no-op.
     """
     if plan is None:
         return
     if (plan.disrupt_generations is not None
             and generation >= plan.disrupt_generations):
         return
-    if plan.triggers(HostFaultKind.WORKER_KILL, *key, generation):
+    if plan.triggers(HostFaultKind.WORKER_KILL, slot, *key, generation):
         _count_injected(HostFaultKind.WORKER_KILL)
         os.kill(os.getpid(), signal.SIGKILL)
-    if plan.triggers(HostFaultKind.WORKER_STALL, *key, generation):
+    if plan.triggers(HostFaultKind.WORKER_STALL, slot, *key, generation):
         _count_injected(HostFaultKind.WORKER_STALL)
         time.sleep(plan.stall_seconds)
-
-
-def maybe_disrupt_fleet(plan: HostFaultPlan | None, worker_id: int,
-                        key: tuple, generation: int) -> None:
-    """Apply ``kill``/``stall`` to one *fleet* worker task.
-
-    The service fleet (:mod:`repro.service.fleet`) runs long-lived
-    worker processes rather than pool generations, so the draw is keyed
-    on the worker slot id plus the cell identity, and ``generation`` is
-    the slot's *respawn count*: with ``disrupt_generations=N`` only the
-    first N incarnations of each slot are disrupted — a respawned
-    worker picking up a redispatched cell survives, exactly like a
-    rebuilt pool.  Kills are a real ``SIGKILL`` to the worker's own
-    pid; the supervisor sees the pipe close and fails over.
-    """
-    if plan is None:
-        return
-    maybe_disrupt(plan, ("fleet", int(worker_id)) + tuple(key),
-                  generation)

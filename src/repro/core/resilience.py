@@ -456,7 +456,7 @@ class ResilientStudy(Study):
               inputs: list[str], jobs: int | None = None) -> SweepResult:
         """All cells of one device table, surviving per-cell failures.
 
-        ``jobs > 1`` runs the missing cells on a process pool (workers
+        ``jobs > 1`` runs the missing cells on worker processes (workers
         apply the same retry/budget/fault policy and return picklable
         outcome records), then assembles the table from the memo; the
         cells, checkpoints, and ``save_results`` output are

@@ -167,16 +167,12 @@ class Study:
         model's order floor before recording, e.g. ``"ptx:acq_rel"``
         prices the acquire/release world.  None keeps the paper's
         relaxed default.  Model-priced sweeps run serially (the
-        pool-worker protocol does not carry the model).
+        worker protocol does not carry the model).
     """
 
-    #: pool-worker respawn budget for parallel sweeps (None reads
-    #: ``REPRO_POOL_RESPAWNS``, default 3) — see
-    #: :func:`repro.core.parallel.execute_tasks`
-    pool_respawn_budget: int | None = None
-    #: per-task wall-clock deadline in seconds for pool workers (None
-    #: reads ``REPRO_TASK_DEADLINE_S``; unset means wait forever)
-    pool_task_deadline_s: float | None = None
+    #: per-task wall-clock deadline in seconds for parallel-sweep
+    #: workers (None waits forever) — see :mod:`repro.core.parallel`
+    task_deadline_s: float | None = None
 
     def __init__(self, reps: int = 9, scale: float = 1.0,
                  validate: bool = False,
@@ -318,7 +314,7 @@ class Study:
                       jobs: int | None = None) -> list[SpeedupCell]:
         """All cells of one of Tables IV-VIII.
 
-        ``jobs > 1`` executes the missing cells on a process pool
+        ``jobs > 1`` executes the missing cells on worker processes
         first (see :mod:`repro.core.parallel`), then assembles the
         table from the memo — the cells, their order, and any
         subsequently saved results are bit-identical to the serial
@@ -345,7 +341,7 @@ class Study:
         return key in self._results
 
     def _worker_config(self):
-        """The picklable policy a pool worker rebuilds this study from."""
+        """The picklable policy a worker rebuilds this study from."""
         from repro.core.parallel import WorkerConfig
 
         trace_dir = (str(self.trace_cache.disk_dir)
@@ -387,7 +383,7 @@ class Study:
 
     def _parallel_prefetch(self, device: str, algorithms: list[str],
                            inputs: list[str], jobs: int) -> None:
-        """Execute every missing (algorithm, input) pair on a pool.
+        """Execute every missing (algorithm, input) pair on workers.
 
         Tasks are built — and their records merged — in the exact
         order the serial sweep would have executed them, which is what
@@ -411,8 +407,7 @@ class Study:
                                           pending))
         execute_tasks(self._worker_config(), tasks, jobs,
                       self._merge_parallel_record,
-                      respawn_budget=self.pool_respawn_budget,
-                      task_deadline_s=self.pool_task_deadline_s)
+                      task_deadline_s=self.task_deadline_s)
 
     # ------------------------------------------------------------------
     # Result persistence (the artifact's ./results/ raw-runtime logs)

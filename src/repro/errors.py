@@ -75,7 +75,7 @@ class StudyError(ReproError):
 
 
 class WorkerTaskError(StudyError):
-    """Raised when a sweep cell task fails inside a pool worker.
+    """Raised when a sweep cell task fails inside a worker process.
 
     Wraps the worker's exception with the (algorithm, input, device)
     task key, so a parallel sweep failure names the cell that caused it

@@ -61,7 +61,7 @@ def _validate(mode: str) -> str:
 def set_engine(mode: str | None) -> None:
     """Install the process-wide engine mode (the CLI's ``--engine``).
 
-    Also exported through ``REPRO_ENGINE`` so pool worker processes
+    Also exported through ``REPRO_ENGINE`` so worker processes
     inherit the choice.
     """
     global _explicit_mode

@@ -182,7 +182,7 @@ def load_suite_graph(name: str, scale: float = 1.0) -> CSRGraph:
 
     The cache is process-wide and shared by every study, sweep worker
     task, and bench module in the process — a multi-study session (or
-    a pool worker serving many cells) builds each (name, scale) CSR
+    a worker process serving many cells) builds each (name, scale) CSR
     exactly once.
     """
     return suite_entry(name).builder(scale)

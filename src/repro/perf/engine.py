@@ -385,7 +385,7 @@ def noise_multiplier(algorithm_key: str, variant: Variant,
     which is what lets a replayed trace reproduce the direct engine's
     runtime bit-for-bit.  Uses a stable digest, not Python's
     per-process randomized string hash, so the factor is identical
-    across interpreter invocations and pool workers.
+    across interpreter invocations and worker processes.
     """
     rng = np.random.default_rng(
         (seed * 2654435761
@@ -534,7 +534,7 @@ def run_algorithm(algorithm, graph, device: DeviceSpec, variant: Variant,
                      input_name=graph.name, source=source)
 
 
-#: cell-granularity labels of every sim-scope run metric — one pool
+#: cell-granularity labels of every sim-scope run metric — one worker
 #: task owns each labelset, which is what keeps float accumulation
 #: order (and therefore merged parallel registries) identical to serial
 CELL_LABELS = ("algorithm", "input", "device", "variant")

@@ -154,7 +154,7 @@ def stable_config_hash(algorithm: str, variant: Variant) -> int:
 
     Python's string hash is randomized per interpreter process, so the
     historical seeding made simulated runtimes differ between
-    invocations (and would have differed per pool worker).  CRC32 is
+    invocations (and would have differed per worker process).  CRC32 is
     stable everywhere; see CHANGES.md for the compatibility note.
     """
     return zlib.crc32(f"{algorithm}:{variant.value}".encode())

@@ -15,8 +15,8 @@ NDJSON while the robustness ladder keeps it correct under load:
    every subscriber has abandoned are cancelled, not computed
    (:mod:`repro.service.scheduler`);
 3. **per-cell circuit breakers** — repeatedly failing cells stop
-   burning pool workers and return their degraded ``FAIL(reason)``
-   record instantly (:mod:`repro.service.breaker`);
+   burning workers and return their degraded ``FAIL(reason)``
+   record instantly (:mod:`repro.utils.breaker`);
 4. **graceful degradation** — a saturated executor or a sticky-degraded
    trace cache serves cached results marked ``stale: true`` instead of
    erroring;
@@ -30,7 +30,6 @@ See ``docs/service.md`` for the API and tuning knobs, and
 
 from __future__ import annotations
 
-from repro.service.breaker import BreakerState, CircuitBreaker
 from repro.service.protocol import CellKey, StudyRequest, parse_study_request
 from repro.service.quota import Admission, AdmissionController
 from repro.service.scheduler import CellScheduler, StudyExecutor
@@ -39,10 +38,8 @@ from repro.service.server import ServiceConfig, SweepService
 __all__ = [
     "Admission",
     "AdmissionController",
-    "BreakerState",
     "CellKey",
     "CellScheduler",
-    "CircuitBreaker",
     "ServiceConfig",
     "StudyExecutor",
     "StudyRequest",

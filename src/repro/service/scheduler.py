@@ -8,11 +8,10 @@ Two pieces:
     single dedicated worker thread.  Every cell execution goes through
     ``study.sweep(device, [algo], [input])`` — the *same* code path the
     CLI sweep uses, so per-cell isolation, retries, fault plans, the
-    trace cache, per-cell checkpoint autosaves, and (with ``jobs > 1``)
-    the worker-death-tolerant process pool all apply unchanged.  The
-    study memo doubles as the hot-result store: a cell any client has
-    completed is served without re-simulation, and a cell whose trace
-    is cached replays in microseconds.
+    trace cache, and per-cell checkpoint autosaves all apply unchanged.
+    The study memo doubles as the hot-result store: a cell any client
+    has completed is served without re-simulation, and a cell whose
+    trace is cached replays in microseconds.
 
 :class:`CellScheduler`
     The asyncio side.  Identical in-flight cells from different
@@ -21,7 +20,7 @@ Two pieces:
     :class:`~repro.core.resilience.CellBudget` wall-clock watchdog; a
     cell whose every subscriber has abandoned it (deadline expired,
     connection gone) is cancelled while still queued instead of
-    computed; per-cell :class:`~repro.service.breaker.CircuitBreaker`
+    computed; per-cell :class:`~repro.utils.breaker.CircuitBreaker`
     state short-circuits known-bad cells to their cached degraded
     record; and when the executor is saturated or the trace cache has
     sticky-degraded, cached records are served with an explicit
@@ -31,11 +30,11 @@ The scheduler is executor-shape agnostic: anything with the
 ``submit(key, budget_s) -> concurrent.futures.Future`` /
 ``queued`` / ``degraded`` surface plugs in.  ``repro serve --workers
 N`` swaps in :class:`~repro.service.fleet.FleetExecutor`, whose
-futures resolve from supervised worker *processes* with crash
-failover; a limping fleet (``fleet_degraded``: an evicted worker
-slot, or no live workers at all) counts toward
-:meth:`CellScheduler.degraded_mode` so stale serving kicks in before
-clients pile onto a reduced fleet.
+futures resolve from the supervised worker *processes* of
+:mod:`repro.core.parallel` with crash failover; a limping fleet
+(``fleet_degraded``: an evicted worker slot, or no live workers at
+all) counts toward :meth:`CellScheduler.degraded_mode` so stale
+serving kicks in before clients pile onto a reduced fleet.
 """
 
 from __future__ import annotations
@@ -51,9 +50,9 @@ from repro.core.resilience import CellBudget, ResilientStudy
 from repro.core.study import SpeedupCell
 from repro.core.variants import Variant
 from repro.errors import ServiceError
-from repro.service.breaker import BreakerState, CircuitBreaker
 from repro.service.protocol import CellKey
 from repro.telemetry.metrics import SCOPE_PROCESS, get_registry
+from repro.utils.breaker import BreakerState, CircuitBreaker
 
 
 def _count_cell(outcome: str) -> None:
@@ -78,9 +77,8 @@ class StudyExecutor:
                  validate: bool = False, retries: int = 0,
                  backoff_s: float = 0.0, max_steps: int | None = None,
                  faults=None, trace_cache=None,
-                 checkpoint=None, jobs: int = 1) -> None:
+                 checkpoint=None) -> None:
         self._max_steps = max_steps
-        self.jobs = jobs
         self.study = ResilientStudy(
             reps=reps, scale=scale, validate=validate, retries=retries,
             backoff_s=backoff_s, budget=CellBudget(max_steps=max_steps),
@@ -139,7 +137,7 @@ class StudyExecutor:
             study.budget = CellBudget(max_seconds=budget_s,
                                       max_steps=self._max_steps)
             result = study.sweep(key.device, [key.algorithm],
-                                 [key.input_name], jobs=self.jobs)
+                                 [key.input_name], jobs=1)
             return result.cells[0]
 
     # ------------------------------------------------------------------
@@ -244,7 +242,7 @@ class CellScheduler:
         deadline = now + deadline_s if deadline_s is not None else None
 
         if not self.breaker.allow(key):
-            # open breaker: the degraded instant answer, pool untouched
+            # open breaker: the degraded instant answer, workers untouched
             self.short_circuits += 1
             _count_cell("short_circuit")
             cached = self._cache.get(key)

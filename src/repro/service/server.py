@@ -52,10 +52,10 @@ from repro.service.protocol import (
 )
 from repro.service.quota import AdmissionController
 from repro.service.scheduler import CellScheduler, StudyExecutor
-from repro.service.breaker import CircuitBreaker
 from repro.service.store import ResultStore
 from repro.telemetry.export import to_prometheus
 from repro.telemetry.metrics import SCOPE_PROCESS, get_registry
+from repro.utils.breaker import CircuitBreaker
 
 DRAIN_RETRY_AFTER = "5"
 
@@ -77,18 +77,13 @@ class ServiceConfig:
     retries: int = 1
     backoff_s: float = 0.05
     max_steps: int | None = None
-    jobs: int = 1
     trace_dir: str | None = None
     checkpoint: str | None = None
     faults: object | None = None  # FaultPlan, injected by the CLI
-    # fleet knobs (workers > 1 swaps in the FleetExecutor; fleet
-    # workers execute serially, so ``jobs`` is ignored in fleet mode)
+    # fleet knobs (workers > 1 swaps in the FleetExecutor)
     workers: int = 1
     store_dir: str | None = None
     fleet_heartbeat_s: float = 0.5
-    fleet_flap_threshold: int = 3
-    fleet_flap_cooldown_s: float = 30.0
-    fleet_task_deadline_s: float | None = None
     # robustness ladder knobs
     max_pending_cells: int = 256
     per_tenant_cells: int = 64
@@ -126,17 +121,14 @@ class SweepService:
                 retries=config.retries, backoff_s=config.backoff_s,
                 max_steps=config.max_steps, faults=config.faults,
                 trace_cache=trace_cache, checkpoint=config.checkpoint,
-                store=store, heartbeat_s=config.fleet_heartbeat_s,
-                flap_threshold=config.fleet_flap_threshold,
-                flap_cooldown_s=config.fleet_flap_cooldown_s,
-                task_deadline_s=config.fleet_task_deadline_s)
+                store=store, heartbeat_s=config.fleet_heartbeat_s)
         else:
             self.executor = StudyExecutor(
                 reps=config.reps, scale=config.scale,
                 validate=config.validate, retries=config.retries,
                 backoff_s=config.backoff_s, max_steps=config.max_steps,
                 faults=config.faults, trace_cache=trace_cache,
-                checkpoint=config.checkpoint, jobs=config.jobs)
+                checkpoint=config.checkpoint)
         self.scheduler = CellScheduler(
             self.executor,
             CircuitBreaker(threshold=config.breaker_threshold,

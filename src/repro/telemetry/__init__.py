@@ -4,7 +4,7 @@ The observability layer of the stack: a process-local registry of
 labelled counters/gauges/histograms (:mod:`repro.telemetry.metrics`),
 hierarchical wall-clock + simulated-clock spans
 (:mod:`repro.telemetry.spans`), and JSONL / Prometheus / console
-exporters with a ``snapshot()``/``merge()`` pair that lets pool workers
+exporters with a ``snapshot()``/``merge()`` pair that lets worker processes
 ship their registries back to the parent
 (:mod:`repro.telemetry.export`).
 

@@ -276,7 +276,7 @@ class MetricsRegistry:
         return len(self._families)
 
     # ------------------------------------------------------------------
-    # snapshot / merge — the pool workers' shipping format
+    # snapshot / merge — the workers' shipping format
     # ------------------------------------------------------------------
     def snapshot(self, scope: str | None = None) -> dict:
         """A picklable/JSON-able copy of the registry state.

@@ -167,7 +167,7 @@ class SpanRecorder:
         return [sp.to_dict() for sp in self.finished]
 
     def merge(self, spans: list[dict], worker: str | None = None) -> None:
-        """Append shipped spans (e.g. from a pool worker).  ``worker``
+        """Append shipped spans (e.g. from a worker process).  ``worker``
         tags each appended span for attribution."""
         for data in spans:
             sp = Span.from_dict(data)

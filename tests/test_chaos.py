@@ -1,8 +1,8 @@
-"""Tests for worker-death-tolerant pool execution
+"""Tests for worker-death-tolerant parallel execution
 (repro.core.parallel) and the chaos harness (repro.core.chaos).
 
 Covers SIGKILLed and stalled workers recovering to byte-identical
-results, the bounded respawn budget, worker-raised exceptions wrapped
+results, a cell lost twice failing the sweep, worker-raised exceptions wrapped
 as :class:`~repro.errors.WorkerTaskError` naming the cell, the chaos
 scenario suite's kind coverage, one end-to-end scenario run, and the
 CLI wiring (``repro chaos`` exit codes, exit 3 on interruption).
@@ -10,11 +10,13 @@ CLI wiring (``repro chaos`` exit codes, exit 3 on interruption).
 
 from __future__ import annotations
 
+import errno
+
 import pytest
 
 from repro import telemetry
 from repro.cli import main as cli_main
-from repro.core import hostfaults
+from repro.core import hostfaults, parallel
 from repro.core.chaos import (
     ChaosOutcome,
     ChaosReport,
@@ -58,7 +60,7 @@ class TestWorkerDeathRecovery:
             with hostfaults.installed(plan):
                 study = ResilientStudy(reps=1)
                 result = study.sweep(DEVICE, ALGOS, [INPUT], jobs=2)
-            respawns = registry.get("repro_host_pool_respawns_total")
+            respawns = registry.get("repro_fleet_respawns_total")
             assert respawns is not None and respawns.value() >= 1
         assert not result.failures
         assert result.coverage[0] == result.coverage[1]
@@ -73,7 +75,7 @@ class TestWorkerDeathRecovery:
                                    disrupt_generations=1)
         with hostfaults.installed(plan):
             study = ResilientStudy(reps=1)
-            study.pool_task_deadline_s = 0.5
+            study.task_deadline_s = 0.5
             result = study.sweep(DEVICE, ALGOS, [INPUT], jobs=2)
         assert not result.failures
         out = tmp_path / "results.json"
@@ -81,13 +83,35 @@ class TestWorkerDeathRecovery:
         assert out.read_bytes() == clean_bytes
 
     def test_respawn_budget_exhaustion_raises(self):
-        # no generation bound: every incarnation of every worker dies
+        # no generation bound: every incarnation of every worker dies,
+        # so the one cell is lost on its dispatch and its redispatch
         plan = HostFaultPlan.parse("kill=1.0", seed=0)
         with hostfaults.installed(plan):
             study = ResilientStudy(reps=1)
-            study.pool_respawn_budget = 1
-            with pytest.raises(StudyError, match="respawn budget"):
+            with pytest.raises(StudyError,
+                               match=r"cc/internet/titanv lost twice"):
                 study.sweep(DEVICE, ["cc"], [INPUT], jobs=2)
+
+    @pytest.mark.filterwarnings(
+        "ignore::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_failed_respawn_is_reported_not_hung(self, monkeypatch):
+        # the first incarnation of each slot dies; forking its
+        # replacement fails — the sweep must raise, not wait forever
+        spawn = parallel.Supervisor._spawn
+
+        def first_spawn_only(self, slot):
+            if slot.generation >= 0:
+                raise OSError(errno.EAGAIN, "fork refused")
+            spawn(self, slot)
+
+        monkeypatch.setattr(parallel.Supervisor, "_spawn",
+                            first_spawn_only)
+        plan = HostFaultPlan.parse("kill=1.0", seed=0)
+        with hostfaults.installed(plan):
+            with pytest.raises(WorkerTaskError,
+                               match="worker supervisor failed"):
+                ResilientStudy(reps=1).sweep(DEVICE, ["cc"], [INPUT],
+                                             jobs=2)
 
     def test_worker_raised_error_names_the_cell(self):
         config = ResilientStudy(reps=1)._worker_config()

@@ -19,6 +19,7 @@ import pytest
 
 from repro.core import hostfaults
 from repro.core.hostfaults import HostFaultPlan
+from repro.gpu.faults import FaultPlan
 from repro.service.fleet import FleetExecutor
 from repro.service.protocol import CellKey
 from repro.service.scheduler import StudyExecutor
@@ -29,6 +30,11 @@ from .ladders import make_records
 
 CELLS = (CellKey("cc", "internet", "titanv"),
          CellKey("mis", "internet", "titanv"))
+#: large enough that an injected abort hits some baselines whose
+#: race-free variant survives (the ledger-drift regression)
+GRID = tuple(CellKey(a, name, "titanv")
+             for name in ("internet", "USA-road-d.NY")
+             for a in ("cc", "gc", "mis", "mst"))
 
 
 def _run_cells(executor, cells=CELLS, timeout=60.0):
@@ -53,18 +59,30 @@ def _wait_for(predicate, timeout=15.0, interval=0.02, what="condition"):
 # Byte-identity: the fleet is indistinguishable from the serial path
 # ----------------------------------------------------------------------
 class TestFleetByteIdentity:
-    def test_two_workers_match_single_worker_payload(self):
-        serial = StudyExecutor(reps=1)
-        fleet = FleetExecutor(workers=2, reps=1, heartbeat_s=0.1)
+    @pytest.mark.parametrize(
+        "faults, cells",
+        [(None, CELLS), (FaultPlan.parse("abort=0.5", seed=1), GRID)],
+        ids=["no-faults", "abort"])
+    def test_two_workers_match_single_worker_payload(self, faults, cells):
+        # a failed baseline must not skip the race-free variant: the
+        # serial path runs both, so the fleet's ledger must hold both
+        serial = StudyExecutor(reps=1, faults=faults)
+        fleet = FleetExecutor(workers=2, reps=1, heartbeat_s=0.1,
+                              faults=faults)
         try:
             serial_cells = [serial.submit(k, 300.0).result(timeout=60)
-                            for k in CELLS]
-            fleet_cells = _run_cells(fleet)
+                            for k in cells]
+            fleet_cells = _run_cells(fleet, cells)
             assert _canonical(fleet.results_payload()) == \
                 _canonical(serial.results_payload())
+            assert set(fleet.study._failures) == set(serial.study._failures)
             for ours, theirs in zip(fleet_cells, serial_cells):
-                assert ours.speedup == theirs.speedup
-            assert fleet.study.cells_executed == 2 * len(CELLS)
+                assert type(ours) is type(theirs)
+                assert getattr(ours, "speedup", None) == \
+                    getattr(theirs, "speedup", None)
+                assert getattr(ours, "reason", None) == \
+                    getattr(theirs, "reason", None)
+            assert fleet.study.cells_executed == 2 * len(cells)
         finally:
             fleet.shutdown()
             serial.shutdown()
@@ -274,7 +292,7 @@ class TestServiceFleet:
             host, port = service.address
 
             # respawn budget exhausted: a slot evicted by its breaker
-            service.executor._slots[0].state = "evicted"
+            service.executor.supervisor.slots[0].state = "evicted"
             status, _head, body = await _fetch(host, port, "GET",
                                                "/readyz")
             assert status == 503
@@ -288,7 +306,7 @@ class TestServiceFleet:
                                                "/readyz")
             assert status == 503
             assert "store_degraded" in json.loads(body)["reasons"]
-            service.executor._slots[0].state = "idle"
+            service.executor.supervisor.slots[0].state = "idle"
             await service.aclose()
 
         asyncio.run(go())

@@ -215,7 +215,7 @@ class TestNoOpGuarantee:
         assert atomicio._WRITE_HOOK is None
 
     def test_maybe_disrupt_without_plan_is_a_noop(self):
-        hostfaults.maybe_disrupt(None, ("cc", "internet", "titanv"), 0)
+        hostfaults.maybe_disrupt(None, 0, ("cc", "internet", "titanv"), 0)
 
     def test_disrupt_generations_bounds_worker_faults(self):
         plan = HostFaultPlan.parse("kill=1.0", disrupt_generations=1,
@@ -223,9 +223,9 @@ class TestNoOpGuarantee:
         key = ("cc", "internet", "titanv")
         # generation >= bound returns before any trigger is drawn —
         # safe to call in-process even with kill=1.0
-        hostfaults.maybe_disrupt(plan, key, 1)
-        hostfaults.maybe_disrupt(plan, key, 5)
-        assert plan.triggers(HostFaultKind.WORKER_KILL, *key, 0)
+        hostfaults.maybe_disrupt(plan, 0, key, 1)
+        hostfaults.maybe_disrupt(plan, 0, key, 5)
+        assert plan.triggers(HostFaultKind.WORKER_KILL, 0, *key, 0)
 
 
 def test_atomic_write_fsyncs_parent_directory(tmp_path, monkeypatch):

@@ -2,10 +2,12 @@
 
 The contract: a ``jobs > 1`` sweep produces byte-identical artifacts
 (saved results, checkpoints, speedup cells) to the serial path — the
-pool only changes wall-clock, never results.
+workers only change wall-clock, never results.
 """
 
 from __future__ import annotations
+
+import multiprocessing
 
 import pytest
 
@@ -16,6 +18,7 @@ from repro.core.parallel import JOBS_ENV, CellTask, execute_tasks, resolve_jobs
 from repro.core.study import SpeedupCell
 from repro.errors import StudyError
 from repro.gpu.faults import FaultPlan
+from repro.graphs.suite import load_suite_graph
 
 ALGOS = ["cc", "mis"]
 INPUTS = ["internet", "USA-road-d.NY"]
@@ -48,28 +51,31 @@ class TestResolveJobs:
 class TestExecuteTasks:
     def test_fault_free_run_is_one_generation_running_each_task_once(
             self, monkeypatch):
-        pools, submitted = [], []
+        supervisors = []
 
-        class CountingPool(parallel.ProcessPoolExecutor):
+        class RecordingSupervisor(parallel.Supervisor):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                pools.append(self)
+                supervisors.append(self)
 
-            def submit(self, fn, *args, **kwargs):
-                submitted.append(args[0])
-                return super().submit(fn, *args, **kwargs)
-
-        monkeypatch.setattr(parallel, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(parallel, "Supervisor", RecordingSupervisor)
         tasks = [CellTask(a, name, DEVICE, ("baseline", "racefree"))
                  for name in INPUTS for a in ALGOS]
         merged = []
         with telemetry.session() as (registry, _spans):
             config = Study(reps=1)._worker_config()
             execute_tasks(config, tasks, jobs=2, merge=merged.append)
-            respawns = registry.get("repro_host_pool_respawns_total")
-        assert len(pools) == 1
-        assert submitted == tasks
+            respawns = registry.get("repro_fleet_respawns_total")
+        [supervisor] = supervisors
+        status = supervisor.status()
+        # one spawn per slot, each task dispatched once, no respawn
+        assert [w["generation"] for w in status["workers"]] == [0, 0]
+        assert sum(w["dispatched"] for w in status["workers"]) == len(tasks)
+        assert status["respawns"] == status["redispatches"] == 0
         assert respawns is None or respawns.value() == 0
+        # every worker was joined before execute_tasks returned
+        assert [s.proc.exitcode for s in supervisor.slots] == [0, 0]
+        assert multiprocessing.active_children() == []
         cells = [(r["algorithm"], r["input"], r["variant"])
                  for r in merged if r["kind"] != "telemetry"]
         assert cells == [(t.algorithm, t.graph_or_name, v)
@@ -87,6 +93,19 @@ class TestParallelStudy:
         parallel.save_results(tmp_path / "parallel.json")
 
         assert _cells(cells_1) == _cells(cells_4)
+        assert (tmp_path / "serial.json").read_bytes() == \
+            (tmp_path / "parallel.json").read_bytes()
+
+    def test_graph_objects_byte_identical_to_serial(self, tmp_path):
+        """CSRGraph inputs reach the workers at fork, tasks name them
+        by index — the results must not notice."""
+        graphs = [load_suite_graph(name) for name in INPUTS]
+        serial = Study(reps=1)
+        serial.speedup_table(DEVICE, ALGOS, graphs, jobs=1)
+        serial.save_results(tmp_path / "serial.json")
+        parallel = Study(reps=1)
+        parallel.speedup_table(DEVICE, ALGOS, graphs, jobs=2)
+        parallel.save_results(tmp_path / "parallel.json")
         assert (tmp_path / "serial.json").read_bytes() == \
             (tmp_path / "parallel.json").read_bytes()
 

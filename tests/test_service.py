@@ -15,7 +15,6 @@ import pytest
 
 from repro.errors import ProtocolError, ServiceError
 from repro.gpu.faults import FaultPlan
-from repro.service.breaker import BreakerState, CircuitBreaker
 from repro.service.protocol import (
     CellKey,
     parse_study_request,
@@ -25,6 +24,7 @@ from repro.service.protocol import (
 from repro.service.quota import AdmissionController
 from repro.service.scheduler import CellScheduler, StudyExecutor
 from repro.service.server import ServiceConfig, SweepService
+from repro.utils.breaker import BreakerState, CircuitBreaker
 
 CELL = CellKey("cc", "internet", "titanv")
 

@@ -3,8 +3,8 @@
 Drives a real ``python -m repro serve`` subprocess the way an unlucky
 deployment would:
 
-1. starts the server with a host fault plan installed — every
-   first-generation pool worker is SIGKILLed and 40% of trace-cache
+1. starts a two-worker server with a host fault plan installed —
+   every first-generation worker is SIGKILLed and 40% of trace-cache
    writes are torn — plus a checkpoint and a disk trace cache;
 2. submits the same study from two concurrent clients and checks that
    every cell streams back ``ok`` and that the pair coalesced onto a
@@ -127,7 +127,7 @@ def main(argv: list[str] | None = None) -> int:
 
     server = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--reps", str(REPS), "--retries", "0", "--jobs", "2",
+         "--reps", str(REPS), "--retries", "0", "--workers", "2",
          "--trace-cache", str(workdir / "traces"),
          "--checkpoint", str(ckpt),
          "--inject-host", "kill=1.0,torn=0.4",
