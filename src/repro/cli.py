@@ -230,9 +230,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _run_sweep(args) -> int:
-    from repro.gpu import tiers
-
-    tiers.set_engine(args.engine)
     faults = (FaultPlan.parse(args.inject, seed=args.fault_seed)
               if args.inject else None)
     budget = CellBudget(max_seconds=args.max_seconds,
@@ -284,10 +281,7 @@ def _cmd_chaos(args) -> int:
 def _cmd_serve(args) -> int:
     """Run the sweep engine as a hardened async job server."""
     from repro.core import hostfaults
-    from repro.gpu import tiers
     from repro.service.server import ServiceConfig, serve_forever
-
-    tiers.set_engine(args.engine)
 
     faults = (FaultPlan.parse(args.inject, seed=args.fault_seed)
               if args.inject else None)
@@ -620,11 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--metrics-format", default="jsonl",
                        choices=["jsonl", "prom", "console"],
                        help="telemetry export format (default: jsonl)")
-    sweep.add_argument("--engine", default="auto",
-                       choices=["interp", "batched", "auto"],
-                       help="execution tier: scalar interpreter, batched "
-                            "warp-wide numpy fast path, or automatic "
-                            "selection (default; see docs/performance.md)")
 
     chaos = sub.add_parser(
         "chaos",
@@ -714,10 +703,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "PATH after the drain")
     serve.add_argument("--metrics-format", default="jsonl",
                        choices=["jsonl", "prom", "console"])
-    serve.add_argument("--engine", default="auto",
-                       choices=["interp", "batched", "auto"],
-                       help="execution tier for served cells (default: "
-                            "auto; see docs/performance.md)")
 
     metrics = sub.add_parser(
         "metrics", help="post-process exported telemetry")

@@ -90,23 +90,12 @@ def split_native_words(span: MemSpan) -> list[MemSpan]:
     return pieces
 
 
-#: numpy dtype string per (element width, signedness) — the typed-view
-#: windows the batched tier gathers and scatters through
-_TYPED_DTYPES = {
-    (1, False): "<u1", (1, True): "<i1",
-    (2, False): "<u2", (2, True): "<i2",
-    (4, False): "<u4", (4, True): "<i4",
-    (8, False): "<u8", (8, True): "<i8",
-}
-
-
 class _Arena:
     """One contiguous byte buffer backing every allocation.
 
     Named arrays are carved out of a single ndarray as 8-byte-aligned
     blocks (first-fit with coalescing free list, geometric growth), so
-    warp-wide gather/scatter, ``fingerprint()``, and checksumming all
-    run over flat ndarray views instead of per-element Python.  Blocks
+    ``fingerprint()`` and checksumming run over flat ndarray views instead of per-element Python.  Blocks
     are zeroed on allocation, preserving the fresh-``np.zeros``
     semantics of the previous per-array backing stores.
     """
@@ -205,8 +194,6 @@ class GlobalMemory:
         self._arrays: dict[str, tuple[ArrayHandle, int]] = {}
         #: cached per-array uint8 slice views into the arena buffer
         self._views: dict[str, np.ndarray] = {}
-        #: cached typed views keyed (name, element width, signed)
-        self._typed: dict[tuple[str, int, bool], np.ndarray] = {}
         self._view_generation = self._arena.generation
         self.faults = faults
         self._allocated_bytes = 0
@@ -215,7 +202,6 @@ class GlobalMemory:
         """Drop cached views after an arena reallocation."""
         if self._view_generation != self._arena.generation:
             self._views.clear()
-            self._typed.clear()
             self._view_generation = self._arena.generation
 
     def _publish_allocation(self) -> None:
@@ -272,8 +258,6 @@ class GlobalMemory:
         self._arena.release(offset, handle.total_bytes)
         self._allocated_bytes -= handle.total_bytes
         self._views.pop(name, None)
-        for key in [k for k in self._typed if k[0] == name]:
-            del self._typed[key]
         self._publish_allocation()
 
     def handle(self, name: str) -> ArrayHandle:
@@ -408,25 +392,6 @@ class GlobalMemory:
                 ) from None
             view = self._arena.buf[offset:offset + handle.total_bytes]
             self._views[name] = view
-        return view
-
-    def typed_view(self, name: str, width: int,
-                   signed: bool = False) -> np.ndarray:
-        """Cached ndarray view of ``name`` reinterpreted at ``width``
-        bytes per element — the batched tier's gather/scatter window.
-
-        Arena blocks are 8-byte aligned, so views of every native width
-        are aligned; a trailing remainder narrower than ``width`` is
-        truncated (cast-style, like ``(int*)char_array``).
-        """
-        self._refresh_views()
-        key = (name, width, signed)
-        view = self._typed.get(key)
-        if view is None:
-            store = self._store_by_name(name)
-            usable = store.shape[0] // width * width
-            view = store[:usable].view(_TYPED_DTYPES[(width, signed)])
-            self._typed[key] = view
         return view
 
     def _check(self, span: MemSpan) -> np.ndarray:

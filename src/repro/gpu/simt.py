@@ -41,7 +41,6 @@ from repro.errors import DeadlockError, KernelError, MemoryAccessError
 from repro.gpu.accesses import AccessKind, DType, MemoryOrder, MemSpan, RMWOp, Scope
 from repro.memmodel.models import MemoryModel, resolve_model
 from repro.gpu.interleave import RoundRobinScheduler, Scheduler
-from repro.gpu import tiers
 from repro.gpu.memory import (
     ArrayHandle,
     GlobalMemory,
@@ -341,25 +340,6 @@ def _apply_rmw(op: RMWOp, old: int, operand: int, expected: int | None,
     return to_unsigned(new, bits)
 
 
-@dataclass
-class BatchStats:
-    """Cumulative batched-tier counters for one executor.
-
-    ``scalar_steps`` maps fallback reason (``solo``, ``resume``,
-    ``conflict``, ``step_budget``) to per-lane scalar steps taken while
-    on the batched tier.
-    """
-
-    batched_launches: int = 0
-    interp_launches: int = 0
-    warp_dispatches: int = 0
-    warp_lanes: int = 0
-    scalar_steps: dict[str, int] = field(default_factory=dict)
-
-    def count_scalar(self, reason: str, n: int = 1) -> None:
-        self.scalar_steps[reason] = self.scalar_steps.get(reason, 0) + n
-
-
 class SimtExecutor:
     """Executes kernel launches against a :class:`GlobalMemory`.
 
@@ -404,7 +384,6 @@ class SimtExecutor:
         warp_size: int = 32,
         store_buffer_capacity: int = 8,
         faults: "FaultInjector | None" = None,
-        batch: bool | None = None,
         memory_model: "MemoryModel | str | None" = None,
         schedulable_drains: bool = False,
     ) -> None:
@@ -457,10 +436,6 @@ class SimtExecutor:
         #: memory-level faults ride on the injector installed in
         #: ``memory`` — pass the same injector to both for a full plan
         self.faults = faults
-        #: batched-tier selection: True/False force it on/off, None
-        #: defers to :mod:`repro.gpu.tiers` (env knobs, then ``auto``)
-        self.batch = batch
-        self.batch_stats = BatchStats()
         self.events: list[AccessEvent] = []
         self.launch_count = 0
         #: optional callback ``(threads, epochs, stats)`` invoked before
@@ -581,25 +556,7 @@ class SimtExecutor:
         for t in threads:
             self._advance(t, stats, threads, epochs)
 
-        reason = None
-        if tiers.simt_batch_enabled(self.batch):
-            from repro.gpu import batch as _batch  # deferred: imports simt
-            reason = _batch.ineligible_reason(self)
-            if reason is None:
-                _batch.run_launch(self, threads, epochs, stats, launch_id,
-                                  getattr(kernel, "__name__", "kernel"))
-        else:
-            reason = "disabled"
-        if reason is not None:
-            self.batch_stats.interp_launches += 1
-            reg = get_registry()
-            if reg.enabled:
-                reg.counter(
-                    "repro_simt_batch_interp_launches_total",
-                    "Launches kept on the interpreter tier, by reason",
-                    ("kernel", "reason"),
-                ).inc(1, getattr(kernel, "__name__", "kernel"), reason)
-            self._interpret(threads, epochs, stats, launch_id)
+        self._interpret(threads, epochs, stats, launch_id)
 
         for block_map in shared_handles.values():
             for handle in block_map.values():

@@ -164,12 +164,6 @@ class TimingModel:
 def stats_from_launches(launches, footprint_bytes: float = 0.0) -> AccessStats:
     """Aggregate SIMT :class:`~repro.gpu.simt.LaunchStats` into an
     :class:`AccessStats` (used to cross-check the two execution levels).
-
-    Tier-agnostic by construction: the batched warp-wide tier
-    (:mod:`repro.gpu.batch`) fills the same ``LaunchStats`` counters the
-    scalar interpreter does — vector dispatches add their lane count to
-    the same per-kind buckets — so this aggregation consumes batched
-    launch stats unchanged and produces byte-identical results.
     """
     from repro.gpu.accesses import AccessKind
 

@@ -153,14 +153,6 @@ class MemoryModel:
         Scope-blind models treat every scope as device-wide."""
         return True
 
-    # -- batched tier ----------------------------------------------------
-    @property
-    def batch_eligible(self) -> bool:
-        """May launches under this model use the vectorized batched
-        tier?  Only the paper's eager default is proven bit-identical
-        there; every other model keeps exact interpreter semantics."""
-        return False
-
     # -- pricing ---------------------------------------------------------
     def apply_to_plan(self, plan: "AccessPlan") -> "AccessPlan":
         """Copy of ``plan`` with every shared site's order lifted to at
@@ -264,10 +256,6 @@ class RelaxedGPU(MemoryModel):
 
     def release_syncs(self, order: MemoryOrder) -> bool:
         return order in _RELEASING
-
-    @property
-    def batch_eligible(self) -> bool:
-        return not self.buffers_stores
 
 
 class PTXScoped(MemoryModel):

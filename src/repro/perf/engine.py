@@ -5,11 +5,15 @@ access to *shared* data goes through a :class:`Recorder`, which
 
 * looks up the access kind of the named site under the active variant
   (consulting the algorithm's :class:`~repro.core.transform.AccessPlan`
-  and the race-removal transform),
+  and the race-removal transform) once per site,
 * counts the access into the matching bucket of
-  :class:`~repro.gpu.timing.AccessStats`, and
+  :class:`~repro.gpu.timing.AccessStats` and into the site's own
+  load/store/RMW tally, and
 * for atomic streams, measures same-address contention (collisions
   within the round's access vector — CC/MST's hot set representatives).
+
+There is one recorder: sweeps, faulted runs and the per-site profiler
+(:mod:`repro.perf.profiler`) all record on it.
 
 ``run_algorithm`` is the single entry point the study framework uses.
 It is internally split into **record** (:func:`record_trace` — run the
@@ -22,7 +26,7 @@ device.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -30,7 +34,6 @@ import numpy as np
 from repro.core.transform import AccessPlan, plan_for, site_kind
 from repro.core.variants import Variant
 from repro.errors import StudyError
-from repro.gpu import tiers
 from repro.gpu.accesses import AccessKind, MemoryOrder
 from repro.gpu.device import DeviceSpec, device_key
 from repro.gpu.timing import AccessStats, TimingModel
@@ -59,6 +62,34 @@ class PerfRun:
     rounds: int
 
 
+#: scratch-vector bucket layout of :class:`Recorder`
+_BUCKETS = (
+    "plain_loads", "plain_stores", "volatile_loads", "volatile_stores",
+    "atomic_loads", "atomic_stores", "atomic_rmws", "ordered_atomics",
+    "contended_atomics", "compute_ops",
+)
+_LOAD_IDX = {AccessKind.PLAIN: 0, AccessKind.VOLATILE: 2,
+             AccessKind.ATOMIC: 4}
+_STORE_IDX = {AccessKind.PLAIN: 1, AccessKind.VOLATILE: 3,
+              AccessKind.ATOMIC: 5}
+_RMW_IDX, _ORDERED_IDX, _CONTENDED_IDX, _COMPUTE_IDX = 6, 7, 8, 9
+
+
+class SiteTally:
+    """One access site as a recording sees it: its kind and fence weight
+    under the active variant (resolved once), plus how many loads,
+    stores and RMWs went through it."""
+
+    __slots__ = ("kind", "weight", "loads", "stores", "rmws")
+
+    def __init__(self, kind: AccessKind, weight: float) -> None:
+        self.kind = kind
+        self.weight = weight
+        self.loads = 0.0
+        self.stores = 0.0
+        self.rmws = 0.0
+
+
 class Recorder:
     """Counts the shared-memory traffic of one run.
 
@@ -68,6 +99,15 @@ class Recorder:
     cache can replay one execution on every device that shares the
     constant.  Pass either a full :class:`DeviceSpec` (the constant is
     taken from it) or ``staleness_rounds`` directly (the record path).
+
+    Bucket increments land in a 10-slot float64 scratch vector that is
+    folded into :class:`~repro.gpu.timing.AccessStats` once per
+    :meth:`round` (and on every read of :attr:`stats`).  Every increment
+    the engine produces is integer-valued, so the regrouped float
+    additions are exact.  Each site's kind and order weight are
+    resolved once into a :class:`SiteTally`, which also keeps the
+    site's own load/store/RMW counts (:attr:`sites`, what
+    :func:`~repro.perf.profiler.profile_run` reports).
     """
 
     def __init__(self, plan: AccessPlan, variant: Variant,
@@ -84,46 +124,37 @@ class Recorder:
         #: set when an execution actually consumes the constant; traces
         #: that never do are valid for every staleness class
         self.staleness_consulted = False
-        self.stats = AccessStats()
+        self._stats = AccessStats()
         self._footprints: dict[str, float] = {}
+        self._scratch = np.zeros(len(_BUCKETS))
+        self._effective_plan = plan_for(plan, variant)
+        #: per-site resolve cache and tallies, in first-access order
+        self.sites: dict[str, SiteTally] = {}
 
-    # ------------------------------------------------------------------
-    def _count(self, indices: np.ndarray | None, count: float | None) -> float:
-        if count is not None:
-            return float(count)
-        if indices is None:
-            raise StudyError("pass either indices or count")
-        return float(np.asarray(indices).shape[0])
+    @property
+    def stats(self) -> AccessStats:
+        """The run's totals so far (flushes the scratch vector)."""
+        self._flush()
+        return self._stats
 
-    def _contention(self, indices: np.ndarray | None) -> float:
-        if indices is None:
-            return 0.0
-        idx = np.asarray(indices)
-        if idx.size == 0:
-            return 0.0
-        return float(idx.shape[0] - np.unique(idx).shape[0])
-
-    def _bucket(self, kind: AccessKind, n: float, store: bool) -> None:
-        s = self.stats
-        if kind is AccessKind.PLAIN:
-            if store:
-                s.plain_stores += n
-            else:
-                s.plain_loads += n
-        elif kind is AccessKind.VOLATILE:
-            if store:
-                s.volatile_stores += n
-            else:
-                s.volatile_loads += n
-        else:
-            if store:
-                s.atomic_stores += n
-            else:
-                s.atomic_loads += n
-
-    # ------------------------------------------------------------------
-    def _site(self, name: str):
-        return plan_for(self.plan, self.variant).site(name)
+    def _flush(self) -> None:
+        sc = self._scratch
+        if not sc.any():
+            return
+        # plain floats, not np.float64: stats values flow into metric
+        # gauges and JSON exports that expect native scalars
+        s = self._stats
+        s.plain_loads += float(sc[0])
+        s.plain_stores += float(sc[1])
+        s.volatile_loads += float(sc[2])
+        s.volatile_stores += float(sc[3])
+        s.atomic_loads += float(sc[4])
+        s.atomic_stores += float(sc[5])
+        s.atomic_rmws += float(sc[6])
+        s.ordered_atomics += float(sc[7])
+        s.contended_atomics += float(sc[8])
+        s.compute_ops += float(sc[9])
+        sc[:] = 0.0
 
     #: relative fence strength per memory order (relaxed is free;
     #: seq_cst forbids all reordering and costs double the one-sided
@@ -136,57 +167,97 @@ class Recorder:
         MemoryOrder.SEQ_CST: 2.0,
     }
 
-    def _order_extra(self, site, n: float) -> None:
-        if site.kind is AccessKind.ATOMIC:
-            self.stats.ordered_atomics += n * self.ORDER_WEIGHT[site.order]
+    def _resolve(self, name: str) -> SiteTally:
+        entry = self.sites.get(name)
+        if entry is None:
+            site = self._effective_plan.site(name)
+            weight = (self.ORDER_WEIGHT[site.order]
+                      if site.kind is AccessKind.ATOMIC else 0.0)
+            entry = self.sites[name] = SiteTally(site.kind, weight)
+        return entry
 
+    def _count(self, indices: np.ndarray | None, count: float | None) -> float:
+        if count is not None:
+            return float(count)
+        if indices is None:
+            raise StudyError("pass either indices or count")
+        return float(np.asarray(indices).shape[0])
+
+    def _contention(self, indices: np.ndarray | None) -> float:
+        """Same-address collisions in one access vector: ``np.bincount``
+        over the index window when it is comparable to the stream
+        length (O(n + range)), ``np.unique`` for sparse ranges."""
+        if indices is None:
+            return 0.0
+        idx = np.asarray(indices)
+        if idx.size == 0:
+            return 0.0
+        lo = int(idx.min())
+        span = int(idx.max()) - lo + 1
+        if span <= 4 * idx.size + 1024:
+            occupied = np.count_nonzero(
+                np.bincount(idx.astype(np.int64) - lo, minlength=span))
+            return float(idx.shape[0] - occupied)
+        return float(idx.shape[0] - np.unique(idx).shape[0])
+
+    # ------------------------------------------------------------------
     def load(self, site: str, indices: np.ndarray | None = None,
              count: float | None = None) -> None:
         """Record loads at ``site`` (one per index, or ``count``)."""
-        s = self._site(site)
+        entry = self._resolve(site)
         n = self._count(indices, count)
-        self._bucket(s.kind, n, store=False)
-        self._order_extra(s, n)
+        entry.loads += n
+        sc = self._scratch
+        sc[_LOAD_IDX[entry.kind]] += n
+        if entry.weight:
+            sc[_ORDERED_IDX] += n * entry.weight
         # same-address atomic *loads* do not serialize on the modelled
         # hardware (L2 read combining); only stores and RMWs contend
 
     def store(self, site: str, indices: np.ndarray | None = None,
               count: float | None = None) -> None:
         """Record stores at ``site``."""
-        s = self._site(site)
+        entry = self._resolve(site)
         n = self._count(indices, count)
-        self._bucket(s.kind, n, store=True)
-        self._order_extra(s, n)
-        if s.kind is AccessKind.ATOMIC:
-            self.stats.contended_atomics += self._contention(indices)
+        entry.stores += n
+        sc = self._scratch
+        sc[_STORE_IDX[entry.kind]] += n
+        if entry.weight:
+            sc[_ORDERED_IDX] += n * entry.weight
+        if entry.kind is AccessKind.ATOMIC:
+            sc[_CONTENDED_IDX] += self._contention(indices)
 
     def rmw(self, site: str, indices: np.ndarray | None = None,
             count: float | None = None) -> None:
         """Record read-modify-write atomics (atomic in *both* variants)."""
-        s = self._site(site)
+        entry = self._resolve(site)
         n = self._count(indices, count)
-        self.stats.atomic_rmws += n
-        self._order_extra(s, n)
-        self.stats.contended_atomics += self._contention(indices)
+        entry.rmws += n
+        sc = self._scratch
+        sc[_RMW_IDX] += n
+        if entry.weight:
+            sc[_ORDERED_IDX] += n * entry.weight
+        sc[_CONTENDED_IDX] += self._contention(indices)
 
     def structure(self, count: float) -> None:
         """Read-only CSR structure loads: plain in both variants (no
         thread ever writes the graph, so these cannot race)."""
-        self.stats.plain_loads += float(count)
+        self._scratch[0] += float(count)
 
     def compute(self, ops: float) -> None:
         """Non-memory work (index arithmetic, comparisons)."""
-        self.stats.compute_ops += float(ops)
+        self._scratch[_COMPUTE_IDX] += float(ops)
 
     def round(self, launches: int = 1) -> None:
         """One host-side iteration: ``launches`` kernel launches."""
-        self.stats.rounds += launches
+        self._flush()
+        self._stats.rounds += launches
 
     def touch(self, name: str, nbytes: float) -> None:
         """Declare data footprint (unique bytes) of array ``name``."""
         self._footprints[name] = max(self._footprints.get(name, 0.0),
                                      float(nbytes))
-        self.stats.footprint_bytes = sum(self._footprints.values())
+        self._stats.footprint_bytes = sum(self._footprints.values())
 
     # ------------------------------------------------------------------
     def staleness(self, site: str) -> int:
@@ -206,167 +277,6 @@ class Recorder:
         .ANY_STALENESS`)."""
         self.staleness_consulted = True
         return self.staleness_rounds
-
-
-#: scratch-vector bucket layout of :class:`BatchedRecorder`
-_BUCKETS = (
-    "plain_loads", "plain_stores", "volatile_loads", "volatile_stores",
-    "atomic_loads", "atomic_stores", "atomic_rmws", "ordered_atomics",
-    "contended_atomics", "compute_ops",
-)
-_LOAD_IDX = {AccessKind.PLAIN: 0, AccessKind.VOLATILE: 2,
-             AccessKind.ATOMIC: 4}
-_STORE_IDX = {AccessKind.PLAIN: 1, AccessKind.VOLATILE: 3,
-              AccessKind.ATOMIC: 5}
-_RMW_IDX, _ORDERED_IDX, _CONTENDED_IDX, _COMPUTE_IDX = 6, 7, 8, 9
-
-
-class BatchedRecorder(Recorder):
-    """Vectorized :class:`Recorder`: ndarray scratch, flushed per round.
-
-    Per-site bucket increments land in a 10-slot float64 scratch vector
-    and are folded into :class:`~repro.gpu.timing.AccessStats` once per
-    :meth:`round` (and on final :attr:`stats` access) instead of once
-    per call.  Site kinds and order weights are resolved once per site
-    and cached.  Every increment the engine produces is integer-valued,
-    so the regrouped float additions are exact and the resulting stats
-    are byte-identical to the per-call recorder's.
-
-    The contention measure replaces the base recorder's per-call
-    ``np.unique`` (a sort, O(n log n)) with ``np.bincount`` collision
-    counting (O(n + range)) whenever the index range is comparable to
-    the stream length, falling back to ``np.unique`` for sparse ranges.
-    """
-
-    def __init__(self, plan: AccessPlan, variant: Variant,
-                 device: DeviceSpec | None = None, *,
-                 staleness_rounds: int | None = None) -> None:
-        super().__init__(plan, variant, device,
-                         staleness_rounds=staleness_rounds)
-        self._scratch = np.zeros(len(_BUCKETS))
-        self._resolved: dict[str, tuple[AccessKind, float]] = {}
-        self._effective_plan = plan_for(self.plan, self.variant)
-        self.flushes = 0
-
-    # base __init__ assigns ``self.stats``; route it through a property
-    # so every external read sees a flushed view
-    @property
-    def stats(self) -> AccessStats:
-        self._flush()
-        return self._stats
-
-    @stats.setter
-    def stats(self, value: AccessStats) -> None:
-        self._stats = value
-
-    def _flush(self) -> None:
-        sc = getattr(self, "_scratch", None)
-        if sc is None or not sc.any():
-            return
-        # plain floats, not np.float64: stats values flow into metric
-        # gauges and JSON exports that expect native scalars
-        s = self._stats
-        s.plain_loads += float(sc[0])
-        s.plain_stores += float(sc[1])
-        s.volatile_loads += float(sc[2])
-        s.volatile_stores += float(sc[3])
-        s.atomic_loads += float(sc[4])
-        s.atomic_stores += float(sc[5])
-        s.atomic_rmws += float(sc[6])
-        s.ordered_atomics += float(sc[7])
-        s.contended_atomics += float(sc[8])
-        s.compute_ops += float(sc[9])
-        sc[:] = 0.0
-        self.flushes += 1
-        reg = get_registry()
-        if reg.enabled:
-            reg.counter("repro_simt_batch_recorder_flushes_total",
-                        "Scratch-to-stats flushes of the batched recorder",
-                        ("algorithm",)).inc(1, self.plan.algorithm)
-
-    def _resolve(self, name: str) -> tuple[AccessKind, float]:
-        entry = self._resolved.get(name)
-        if entry is None:
-            site = self._effective_plan.site(name)
-            weight = (self.ORDER_WEIGHT[site.order]
-                      if site.kind is AccessKind.ATOMIC else 0.0)
-            entry = (site.kind, weight)
-            self._resolved[name] = entry
-        return entry
-
-    def _contention(self, indices: np.ndarray | None) -> float:
-        if indices is None:
-            return 0.0
-        idx = np.asarray(indices)
-        if idx.size == 0:
-            return 0.0
-        lo = int(idx.min())
-        span = int(idx.max()) - lo + 1
-        if span <= 4 * idx.size + 1024:
-            occupied = np.count_nonzero(
-                np.bincount(idx.astype(np.int64) - lo, minlength=span))
-            return float(idx.shape[0] - occupied)
-        return float(idx.shape[0] - np.unique(idx).shape[0])
-
-    # ------------------------------------------------------------------
-    def load(self, site: str, indices: np.ndarray | None = None,
-             count: float | None = None) -> None:
-        kind, weight = self._resolve(site)
-        n = self._count(indices, count)
-        sc = self._scratch
-        sc[_LOAD_IDX[kind]] += n
-        if weight:
-            sc[_ORDERED_IDX] += n * weight
-
-    def store(self, site: str, indices: np.ndarray | None = None,
-              count: float | None = None) -> None:
-        kind, weight = self._resolve(site)
-        n = self._count(indices, count)
-        sc = self._scratch
-        sc[_STORE_IDX[kind]] += n
-        if weight:
-            sc[_ORDERED_IDX] += n * weight
-        if kind is AccessKind.ATOMIC:
-            sc[_CONTENDED_IDX] += self._contention(indices)
-
-    def rmw(self, site: str, indices: np.ndarray | None = None,
-            count: float | None = None) -> None:
-        kind, weight = self._resolve(site)
-        n = self._count(indices, count)
-        sc = self._scratch
-        sc[_RMW_IDX] += n
-        if kind is AccessKind.ATOMIC and weight:
-            sc[_ORDERED_IDX] += n * weight
-        sc[_CONTENDED_IDX] += self._contention(indices)
-
-    def structure(self, count: float) -> None:
-        self._scratch[0] += float(count)
-
-    def compute(self, ops: float) -> None:
-        self._scratch[_COMPUTE_IDX] += float(ops)
-
-    def round(self, launches: int = 1) -> None:
-        self._flush()
-        self._stats.rounds += launches
-
-    def touch(self, name: str, nbytes: float) -> None:
-        self._footprints[name] = max(self._footprints.get(name, 0.0),
-                                     float(nbytes))
-        self._stats.footprint_bytes = sum(self._footprints.values())
-
-
-def make_recorder(plan: AccessPlan, variant: Variant,
-                  device: DeviceSpec | None = None, *,
-                  staleness_rounds: int | None = None,
-                  engine: str | None = None) -> Recorder:
-    """Build the recorder for the selected execution tier.
-
-    ``engine`` overrides the process-wide mode from
-    :mod:`repro.gpu.tiers` (``interp``/``batched``/``auto``); both
-    recorders produce byte-identical :class:`AccessStats`.
-    """
-    cls = BatchedRecorder if tiers.recorder_batch_enabled(engine) else Recorder
-    return cls(plan, variant, device, staleness_rounds=staleness_rounds)
 
 
 #: relative sigma of the run-to-run noise model (the paper reports a
@@ -396,8 +306,8 @@ def noise_multiplier(algorithm_key: str, variant: Variant,
 
 
 def record_trace(algorithm, graph, variant: Variant, seed: int,
-                 staleness_rounds: int, plan: AccessPlan | None = None,
-                 engine: str | None = None) -> Trace:
+                 staleness_rounds: int,
+                 plan: AccessPlan | None = None) -> Trace:
     """Run the functional execution once and capture its trace.
 
     This is the expensive half of the record/replay split: it executes
@@ -406,15 +316,10 @@ def record_trace(algorithm, graph, variant: Variant, seed: int,
     returns the :class:`~repro.perf.trace.Trace` that
     :func:`replay_trace` can price for *any* device sharing that
     staleness constant.
-
-    ``engine`` picks the recorder tier (see :func:`make_recorder`);
-    the recorded stats are byte-identical either way.
     """
     if plan is None:
         plan = algorithm_plan(algorithm)
-    recorder = make_recorder(plan, variant,
-                             staleness_rounds=staleness_rounds,
-                             engine=engine)
+    recorder = Recorder(plan, variant, staleness_rounds=staleness_rounds)
     with get_spans().span("perf.record", algorithm=algorithm.key,
                           variant=variant.value, seed=seed):
         output = algorithm.perf_runner(graph, recorder, seed)
@@ -499,10 +404,8 @@ def run_algorithm(algorithm, graph, device: DeviceSpec, variant: Variant,
 
     if faults is not None:
         faults.begin_perf_run(algorithm.key, variant, plan)
-        # faulted runs stay on the per-call interpreter recorder: fault
-        # plans are exercised and validated against its exact behavior
         trace = record_trace(algorithm, graph, variant, seed, staleness,
-                             plan=plan, engine=tiers.ENGINE_INTERP)
+                             plan=plan)
         runtime = replay_trace(trace, device)
         runtime = faults.perf_finish(trace.output, runtime)
         return _perf_run(algorithm, variant, device, trace, runtime,

@@ -4,24 +4,23 @@ The paper explains its results by *profiling*: "Profiling the two code
 versions revealed that the baseline code has a much higher L1 hit rate
 for both loads and stores, which explains the performance difference."
 
-:class:`SiteProfile` accumulates, per access site, how many loads,
-stores, and RMWs a run issued and what they cost under the device's
-timing model; :func:`profile_run` executes one (algorithm, variant)
-configuration with site tracking enabled and returns the comparison
-table a performance engineer would look at.
+:class:`SiteTraffic` holds, per access site, how many loads, stores,
+and RMWs a run issued; :func:`profile_run` executes one (algorithm,
+variant) configuration, reads those counts from the recorder's per-site
+tallies, prices the run under the device's timing model, and returns
+the comparison table a performance engineer would look at.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.core.transform import plan_for
 from repro.core.variants import AlgorithmInfo, Variant
 from repro.gpu.accesses import AccessKind
 from repro.gpu.device import DeviceSpec, device_key
 from repro.gpu.timing import AccessStats, TimingModel
-from repro.perf.engine import Recorder, algorithm_plan
+from repro.perf.engine import Recorder, SiteTally, algorithm_plan
 from repro.telemetry.metrics import get_registry
 from repro.telemetry.spans import get_spans
 from repro.utils.tables import format_table
@@ -50,30 +49,10 @@ class SiteTraffic:
     def total(self) -> int:
         return self.loads + self.stores + self.rmws
 
-
-class ProfilingRecorder(Recorder):
-    """A :class:`Recorder` that additionally tallies traffic per site."""
-
-    def __init__(self, plan, variant, device) -> None:
-        super().__init__(plan, variant, device)
-        self.sites: dict[str, SiteTraffic] = {}
-
-    def _traffic(self, name: str) -> SiteTraffic:
-        if name not in self.sites:
-            self.sites[name] = SiteTraffic(name, self._site(name).kind)
-        return self.sites[name]
-
-    def load(self, site, indices=None, count=None) -> None:
-        super().load(site, indices, count)
-        self._traffic(site).loads += _whole(self._count(indices, count))
-
-    def store(self, site, indices=None, count=None) -> None:
-        super().store(site, indices, count)
-        self._traffic(site).stores += _whole(self._count(indices, count))
-
-    def rmw(self, site, indices=None, count=None) -> None:
-        super().rmw(site, indices, count)
-        self._traffic(site).rmws += _whole(self._count(indices, count))
+    @classmethod
+    def from_tally(cls, site: str, tally: SiteTally) -> "SiteTraffic":
+        return cls(site, tally.kind, _whole(tally.loads),
+                   _whole(tally.stores), _whole(tally.rmws))
 
 
 @dataclass
@@ -100,7 +79,7 @@ class RunProfile:
 
 def profile_run(algorithm: AlgorithmInfo, graph, device: DeviceSpec,
                 variant: Variant, seed: int = 0) -> RunProfile:
-    """Run one configuration with per-site tracking.
+    """Run one configuration and report its per-site traffic.
 
     When telemetry is enabled the profile is additionally published as
     ``repro_site_accesses_total{algorithm, variant, site, kind, op}``
@@ -108,11 +87,12 @@ def profile_run(algorithm: AlgorithmInfo, graph, device: DeviceSpec,
     """
     with get_spans().span("perf.profile", algorithm=algorithm.key,
                           variant=variant.value):
-        recorder = ProfilingRecorder(algorithm_plan(algorithm), variant,
-                                     device)
+        recorder = Recorder(algorithm_plan(algorithm), variant, device)
         algorithm.perf_runner(graph, recorder, seed)
         runtime = TimingModel(device).estimate_ms(recorder.stats)
-    profile = RunProfile(algorithm.key, variant, device, recorder.sites,
+    sites = {name: SiteTraffic.from_tally(name, tally)
+             for name, tally in recorder.sites.items()}
+    profile = RunProfile(algorithm.key, variant, device, sites,
                          recorder.stats, runtime)
     _publish_profile(profile)
     return profile

@@ -30,6 +30,8 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
         var_y += dy * dy
     if var_x == 0.0 or var_y == 0.0:
         raise ValueError("correlation undefined: zero variance input")
-    r = cov / math.sqrt(var_x * var_y)
+    # two square roots, not sqrt(var_x * var_y): the product of two tiny
+    # nonzero variances underflows to 0.0
+    r = cov / (math.sqrt(var_x) * math.sqrt(var_y))
     # floating-point error can push |r| marginally past 1; clamp
     return max(-1.0, min(1.0, r))

@@ -11,8 +11,7 @@ Three layers of protection:
   same outcomes in the same order.
 * **Bit-identity** — the default model is the paper's relaxed GPU
   semantics with eager visibility; executions under it must be
-  byte-identical to an executor that never heard of memory models,
-  on both the scalar interpreter and the batched tier.
+  byte-identical to an executor that never heard of memory models.
 """
 
 from __future__ import annotations
@@ -196,7 +195,7 @@ class TestDeterminism:
 
 
 # ----------------------------------------------------------------------
-# default-model bit-identity (interpreter and batched tiers)
+# default-model bit-identity
 # ----------------------------------------------------------------------
 
 _RUNNERS = {
@@ -220,19 +219,6 @@ class TestDefaultBitIdentity:
         out_m, _ = _RUNNERS[algo](tiny_graph, variant, ex_model)
         assert np.array_equal(np.asarray(out_p), np.asarray(out_m))
         assert ex_plain.events == ex_model.events
-
-    @pytest.mark.parametrize("algo", sorted(_RUNNERS))
-    def test_batched_tier(self, algo, tiny_graph):
-        ex_plain = SimtExecutor(GlobalMemory(), batch=True,
-                                record_events=True)
-        ex_model = SimtExecutor(GlobalMemory(), batch=True,
-                                record_events=True,
-                                memory_model="relaxed_gpu:eager")
-        out_p, _ = _RUNNERS[algo](tiny_graph, Variant.RACE_FREE, ex_plain)
-        out_m, _ = _RUNNERS[algo](tiny_graph, Variant.RACE_FREE, ex_model)
-        assert np.array_equal(np.asarray(out_p), np.asarray(out_m))
-        assert ex_plain.events == ex_model.events
-        assert ex_model.batch_stats.batched_launches > 0
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ from repro.perf.engine import Recorder
 from repro.perf.visibility import DelayedView
 
 
-def make_recorder(variant=Variant.BASELINE) -> Recorder:
+def build_recorder(variant=Variant.BASELINE) -> Recorder:
     plan = AccessPlan("t", (
         AccessSite("t.plain", AccessKind.PLAIN),
         AccessSite("t.volatile", AccessKind.VOLATILE),
@@ -26,14 +26,14 @@ def make_recorder(variant=Variant.BASELINE) -> Recorder:
 
 class TestRecorder:
     def test_load_buckets_by_site_kind(self):
-        r = make_recorder()
+        r = build_recorder()
         r.load("t.plain", count=10)
         r.load("t.volatile", count=5)
         assert r.stats.plain_loads == 10
         assert r.stats.volatile_loads == 5
 
     def test_variant_redirects_to_atomic(self):
-        r = make_recorder(Variant.RACE_FREE)
+        r = build_recorder(Variant.RACE_FREE)
         r.load("t.plain", count=10)
         r.store("t.store", count=4)
         assert r.stats.atomic_loads == 10
@@ -41,54 +41,54 @@ class TestRecorder:
         assert r.stats.plain_loads == 0
 
     def test_indices_counted(self):
-        r = make_recorder()
+        r = build_recorder()
         r.load("t.plain", indices=np.array([1, 2, 3]))
         assert r.stats.plain_loads == 3
 
     def test_contention_counted_for_atomic_stores(self):
-        r = make_recorder(Variant.RACE_FREE)
+        r = build_recorder(Variant.RACE_FREE)
         r.store("t.store", indices=np.array([5, 5, 5, 6]))
         assert r.stats.contended_atomics == 2  # three hits on 5
 
     def test_no_contention_for_plain_stores(self):
-        r = make_recorder(Variant.BASELINE)
+        r = build_recorder(Variant.BASELINE)
         r.store("t.store", indices=np.array([5, 5, 5, 6]))
         assert r.stats.contended_atomics == 0
 
     def test_rmw_counted_in_both_variants(self):
         for variant in Variant:
-            r = make_recorder(variant)
+            r = build_recorder(variant)
             r.rmw("t.rmw", indices=np.array([1, 1]))
             assert r.stats.atomic_rmws == 2
             assert r.stats.contended_atomics == 1
 
     def test_structure_always_plain(self):
-        r = make_recorder(Variant.RACE_FREE)
+        r = build_recorder(Variant.RACE_FREE)
         r.structure(7)
         assert r.stats.plain_loads == 7
 
     def test_requires_indices_or_count(self):
         with pytest.raises(StudyError):
-            make_recorder().load("t.plain")
+            build_recorder().load("t.plain")
 
     def test_footprint_is_max_per_array_sum_across(self):
-        r = make_recorder()
+        r = build_recorder()
         r.touch("a", 100)
         r.touch("a", 50)   # smaller re-touch does not shrink
         r.touch("b", 10)
         assert r.stats.footprint_bytes == 110
 
     def test_rounds(self):
-        r = make_recorder()
+        r = build_recorder()
         r.round()
         r.round(launches=3)
         assert r.stats.rounds == 4
 
     def test_staleness_only_for_plain_sites(self):
-        r = make_recorder(Variant.BASELINE)
+        r = build_recorder(Variant.BASELINE)
         assert r.staleness("t.plain") > 0
         assert r.staleness("t.volatile") == 0
-        r2 = make_recorder(Variant.RACE_FREE)
+        r2 = build_recorder(Variant.RACE_FREE)
         assert r2.staleness("t.plain") == 0
 
 

@@ -22,8 +22,10 @@ from repro.core.variants import Variant, get_algorithm
 from repro.graphs import generators as gen
 from repro.graphs.csr import CSRGraph
 from repro.gpu.accesses import AccessKind
-from repro.perf.engine import algorithm_plan, make_recorder
+from repro.perf.engine import Recorder, algorithm_plan
 from repro.perf.visibility import DelayedView
+
+from .reference_recorders import PerCallRecorder
 
 
 # ----------------------------------------------------------------------
@@ -145,9 +147,15 @@ def reference_mis(graph, recorder, seed: int = 0,
 # Harness
 # ----------------------------------------------------------------------
 
+#: the recorder each ``engine`` parameter records on: ``batched`` is the
+#: one buffered :class:`Recorder`, ``interp`` the per-call recorder it
+#: replaced (both must count the same)
+RECORDERS = {"interp": PerCallRecorder, "batched": Recorder}
+
+
 def _recorder(key, variant, engine, staleness):
-    return make_recorder(algorithm_plan(get_algorithm(key)), variant,
-                         staleness_rounds=staleness, engine=engine)
+    return RECORDERS[engine](algorithm_plan(get_algorithm(key)), variant,
+                             staleness_rounds=staleness)
 
 
 def _run_both(key, runner, reference, graph, variant, engine, staleness,

@@ -8,8 +8,8 @@ from repro.core.transform import remove_races_at
 from repro.core.variants import Variant, get_algorithm
 from repro.errors import StudyError
 from repro.gpu.device import get_device
+from repro.perf.engine import Recorder
 from repro.perf.profiler import (
-    ProfilingRecorder,
     compare_profiles,
     dominant_racy_site,
     profile_run,
@@ -142,7 +142,7 @@ class TestPartialConversion:
         partial = remove_races_at(plan, {"cc.label.jump_read"})
 
         def run_with(p, variant):
-            rec = ProfilingRecorder(p, variant, device)
+            rec = Recorder(p, variant, device)
             cc_mod.run_perf(graph, rec, 7)
             return TimingModel(device).estimate_ms(rec.stats)
 

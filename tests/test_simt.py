@@ -135,6 +135,36 @@ class TestAtomics:
         assert olds == [3]
         assert mem.element_read(arr, 0) == 7
 
+    def test_cas_none_expected_raises(self):
+        """A CAS with expected=None is a kernel bug, not a no-op."""
+        mem, ex = make_exec()
+        arr = mem.alloc("x", 1, DType.I32)
+
+        def kernel(ctx, arr):
+            yield ctx.atomic_rmw(arr, 0, RMWOp.CAS, 5, expected=None)
+
+        with pytest.raises(KernelError, match="CAS requires an expected"):
+            ex.launch(kernel, 32, arr)
+
+    def test_cas_retry_loop_converges(self):
+        """The classic lock-free retry loop (CC's hook pattern) leaves
+        the minimum thread id behind."""
+        mem, ex = make_exec()
+        best = mem.alloc("best", 1, DType.I32)
+        mem.element_write(best, 0, 10 ** 6)
+
+        def kernel(ctx, best):
+            while True:
+                cur = yield ctx.load(best, 0, AccessKind.ATOMIC)
+                if cur <= ctx.tid:
+                    return
+                got = yield ctx.atomic_cas(best, 0, cur, ctx.tid)
+                if got == cur:
+                    return
+
+        ex.launch(kernel, 64, best)
+        assert mem.element_read(best, 0) == 0
+
     def test_atomic_char_rejected(self):
         """CUDA atomics do not support char operands (Section IV.C)."""
         mem, ex = make_exec()
@@ -291,6 +321,68 @@ class TestBarriers:
 
         with pytest.raises(DeadlockError):
             ex.launch(kernel, 1, arr)
+
+    def test_step_budget_message(self):
+        mem = GlobalMemory()
+        ex = SimtExecutor(mem, max_steps=500)
+        arr = mem.alloc("x", 1, DType.I32)
+
+        def kernel(ctx, arr):
+            while True:
+                yield ctx.atomic_rmw(arr, 0, RMWOp.ADD, 1)
+
+        with pytest.raises(DeadlockError, match="500 micro-steps"):
+            ex.launch(kernel, 8, arr)
+
+    def test_barrier_divergence_message(self):
+        mem, ex = make_exec()
+        arr = mem.alloc("x", 8, DType.I32)
+
+        def kernel(ctx, arr):
+            if ctx.tid % 2 == 0:
+                yield ctx.barrier()
+            yield ctx.store(arr, ctx.tid, 1)
+
+        with pytest.raises(DeadlockError, match="barrier divergence"):
+            ex.launch(kernel, 8, arr, block_dim=8)
+
+
+class TestDivergence:
+    def test_divergent_branch_outputs(self):
+        """Data-dependent control flow: every branch's effect lands, and
+        the round-robin run is reproducible event for event."""
+
+        def kernel(ctx, data, out):
+            v = yield ctx.load(data, ctx.tid)
+            if v % 3 == 0:
+                for _ in range(v % 5):
+                    yield ctx.atomic_rmw(out, 0, RMWOp.ADD, 1)
+            elif v % 3 == 1:
+                yield ctx.store(out, 1 + ctx.tid % 7, v, AccessKind.VOLATILE)
+            else:
+                w = yield ctx.load(out, 2, AccessKind.ATOMIC)
+                yield ctx.store(data, ctx.tid, w + v)
+
+        initial = np.arange(70) * 13 % 41
+        runs = []
+        for _ in range(2):
+            mem, ex = make_exec()
+            data = mem.alloc("d", 70, DType.I32)
+            out = mem.alloc("o", 8, DType.I32)
+            mem.upload(data, initial)
+            ex.launch(kernel, 70, data, out)
+            runs.append((mem.download(data).tolist(),
+                         mem.download(out).tolist(), ex.events))
+        assert runs[0] == runs[1]
+        final, outs, _ = runs[0]
+        assert outs[0] == sum(int(v) % 5 for v in initial if v % 3 == 0)
+        for tid, v in enumerate(initial.tolist()):
+            if v % 3 == 1:
+                assert outs[1 + tid % 7] % 3 == 1  # some branch-1 value
+            if v % 3 != 2:
+                assert final[tid] == v  # only branch 2 rewrites data
+            else:
+                assert final[tid] >= v
 
 
 class TestSchedulers:
