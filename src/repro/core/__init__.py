@@ -8,11 +8,12 @@
   the registry of algorithm implementations.
 * :mod:`repro.core.study` — the experimental methodology of Section V:
   run variant x input x device for nine repetitions, take medians,
-  compute speedups.
+  compute speedups; one cell executor with per-cell fault isolation,
+  budgets and retries.
 * :mod:`repro.core.report` — speedup tables (Tables IV-VIII), geometric
   means (Fig. 6), and property correlations (Table IX).
-* :mod:`repro.core.resilience` — the resilient sweep layer: per-cell
-  fault isolation, budgets, retries, and checkpoint/resume.
+* :mod:`repro.core.resilience` — the durable sweep layer:
+  checkpoint/resume and the graceful interrupt.
 * :mod:`repro.core.hostfaults` — deterministic injection of *host*
   failures (torn writes, full disks, killed/stalled workers).
 * :mod:`repro.core.chaos` — the harness asserting byte-identical

@@ -18,9 +18,11 @@ code that creates worker processes, and it has two front ends:
   request.
 
 A :class:`Supervisor` runs N worker *slots*.  Each slot is a forked
-process holding a private study built from the parent's
-:class:`WorkerConfig` (same reps/scale/validate/retry policy, same
-fault plans, a :class:`~repro.perf.trace.TraceCache` on the parent's
+process holding a private :class:`~repro.core.study.Study` built from
+the parent's :class:`WorkerConfig` (same reps/scale/validate/retry
+policy, same fault plans and memory model — a worker never
+checkpoints, so it needs no durability layer — and a
+:class:`~repro.perf.trace.TraceCache` on the parent's
 on-disk trace directory when one is configured — that shared disk
 layer is how workers pricing different devices reuse one functional
 execution per staleness class).  A supervisor thread watches the slots
@@ -92,12 +94,12 @@ class WorkerConfig:
     """Everything a worker needs to rebuild the parent's policy.
 
     All fields are picklable; ``faults`` and ``budget`` carry the
-    resilient study's fault plan and cell budget so injected fault
-    streams (derived from the plan seed plus the cell key) are
-    identical to the serial path's.
+    study's fault plan and cell budget so injected fault streams
+    (derived from the plan seed plus the cell key) are identical to the
+    serial path's, and ``memory_model`` prices every run under the
+    parent's consistency model.
     """
 
-    resilient: bool
     reps: int
     scale: float
     validate: bool
@@ -105,6 +107,7 @@ class WorkerConfig:
     backoff_s: float = 0.0
     budget: object | None = None
     faults: object | None = None
+    memory_model: object | None = None
     trace_dir: str | None = None
     #: when true, workers run with telemetry enabled and ship their
     #: metric/span snapshots back as per-task ``telemetry`` records
@@ -120,7 +123,7 @@ class CellTask:
     """One (algorithm, input, device) cell and the variants still to
     run.  ``graph_or_name`` is a suite name or a
     :class:`~repro.graphs.csr.CSRGraph`; ``budget`` is the cell's
-    :class:`~repro.core.resilience.CellBudget` (None keeps the worker
+    :class:`~repro.core.study.CellBudget` (None keeps the worker
     study's configured budget)."""
 
     algorithm: str
@@ -176,7 +179,6 @@ def _worker_study(config: WorkerConfig):
 
     from repro import telemetry
     from repro.core import hostfaults
-    from repro.core.resilience import ResilientStudy
     from repro.core.study import Study
     from repro.perf.trace import TraceCache
 
@@ -208,14 +210,11 @@ def _worker_study(config: WorkerConfig):
     # channel that shares recordings between workers and sweeps
     cache = TraceCache(disk_dir=config.trace_dir,
                        retain_outputs=config.validate)
-    if config.resilient:
-        return ResilientStudy(
-            reps=config.reps, scale=config.scale, validate=config.validate,
-            retries=config.retries, backoff_s=config.backoff_s,
-            budget=config.budget, faults=config.faults,
-            trace_cache=cache)
     return Study(reps=config.reps, scale=config.scale,
-                 validate=config.validate, trace_cache=cache)
+                 validate=config.validate, trace_cache=cache,
+                 memory_model=config.memory_model, retries=config.retries,
+                 backoff_s=config.backoff_s, budget=config.budget,
+                 faults=config.faults)
 
 
 def _run_task(study, task: CellTask) -> list[dict]:
@@ -226,48 +225,17 @@ def _run_task(study, task: CellTask) -> list[dict]:
     serial :meth:`~repro.core.resilience.ResilientStudy.speedup_cell`
     does — so the ledger memo matches the serial path's.
     """
-    from repro.core.resilience import CellFailure, ResilientStudy
-
+    variants = [Variant(value) for value in task.variants]
+    # a re-requested failed cell must actually execute: the service's
+    # breaker, not this memo, remembers failures
+    study.forget_failures(*task.key, variants)
+    if task.budget is not None:
+        study.budget = task.budget
     records: list[dict] = []
-    resilient = isinstance(study, ResilientStudy)
-    if resilient:
-        algorithm, name, device = task.key
-        # a re-requested failed cell must actually execute: the
-        # service's breaker, not this memo, remembers failures
-        for value in task.variants:
-            study._failures.pop((algorithm, name, device, Variant(value)),
-                                None)
-        if task.budget is not None:
-            study.budget = task.budget
-    for value in task.variants:
-        variant = Variant(value)
-        if resilient:
-            out = study.run_cell(task.algorithm, task.graph_or_name,
-                                 task.device, variant)
-            if isinstance(out, CellFailure):
-                records.append({
-                    "kind": "failure",
-                    "algorithm": out.algorithm,
-                    "input": out.input_name,
-                    "device": out.device_key,
-                    "variant": out.variant,
-                    "reason": out.reason,
-                    "message": out.message,
-                    "attempts": out.attempts,
-                    "elapsed_s": out.elapsed_s,
-                })
-                continue
-        else:
-            out = study.run(task.algorithm, task.graph_or_name,
-                            task.device, variant)
-        records.append({
-            "kind": "result",
-            "algorithm": out.algorithm,
-            "input": out.input_name,
-            "device": out.device_key,
-            "variant": out.variant.value,
-            "runtimes_ms": list(out.runtimes_ms),
-        })
+    for variant in variants:
+        out = study.run_cell(task.algorithm, task.graph_or_name,
+                             task.device, variant)
+        records.append({"kind": out.KIND, **out.to_record()})
     _append_telemetry_record(records)
     return records
 

@@ -1,29 +1,30 @@
-"""Resilient sweep execution: per-cell isolation, budgets, retries,
-and checkpoint/resume for the study framework.
+"""Resilient sweep execution: checkpoint/resume and the graceful
+interrupt on top of the study framework's cell policy.
 
 The paper's sweeps (Tables IV-IX) run hundreds of (algorithm x input x
 device x variant x repetition) cells, and its own Section II argues that
-racy kernels can livelock, tear words, and corrupt results.  A plain
-:class:`~repro.core.study.Study` lets the first such failure abort the
-whole sweep and discard every completed cell.  This module makes the
-sweep layer survive, record, and report those failures instead:
+racy kernels can livelock, tear words, and corrupt results.  The cell
+policy lives in :class:`~repro.core.study.Study` — its ``run_cell`` is
+the one cell executor, re-exported here with its records,
+:class:`CellBudget` and :func:`run_guarded`:
 
-* a failing cell becomes a structured :class:`CellFailure` record and
-  the sweep continues (per-cell isolation);
+* a failing cell becomes a structured :class:`CellFailure` record
+  (per-cell isolation);
 * :class:`DeadlockError` livelocks become recorded failures, bounded by
   the :class:`CellBudget` step/wall-clock limits, not crashes;
 * transient faults (:class:`~repro.errors.TransientKernelFault`) are
-  retried with fresh schedule seeds and exponential backoff;
+  retried with fresh schedule seeds and exponential backoff.
+
+:class:`ResilientStudy` adds what makes a long sweep survive:
+
+* its sweep records failed cells and continues;
 * after every cell the study checkpoints atomically (temp file +
   rename), and a later run can ``--resume`` to execute only the
   missing cells;
+* SIGINT/SIGTERM stop the sweep cleanly after one last checkpoint;
 * partial results still render: see
   :func:`repro.core.report.resilient_speedup_table`, which prints
   ``FAIL(reason)`` cells and coverage-annotated geomeans.
-
-With no fault plan and default budgets, :class:`ResilientStudy`
-reproduces plain :class:`Study` results bit-identically — the guard
-rails cost nothing until something goes wrong.
 """
 
 from __future__ import annotations
@@ -33,36 +34,27 @@ import json
 import os
 import signal
 import threading
-import time
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
-from repro.core.study import (
+from repro.core.study import (  # noqa: F401 - re-exported
+    CellBudget,
+    CellFailure,
+    GuardedFailure,
     RecordTexts,
     RunResult,
     SpeedupCell,
     Study,
     json_document,
+    run_guarded,
 )
-from repro.core.variants import Variant, get_algorithm
-from repro.errors import (
-    CellTimeoutError,
-    DeadlockError,
-    ReproError,
-    StudyError,
-    SweepInterrupted,
-    TransientKernelFault,
-    ValidationError,
-)
-from repro.gpu.device import get_device
-from repro.gpu.faults import FaultPlan
-from repro.perf.engine import PerfRun, run_algorithm
+# perfbench/layers.py wraps ``resilience.run_algorithm`` by this name
+from repro.core.study import run_algorithm  # noqa: F401
+from repro.core.variants import Variant
+from repro.errors import StudyError, SweepInterrupted
 from repro.telemetry.metrics import SCOPE_PROCESS, get_registry
-from repro.telemetry.spans import get_spans
 from repro.utils.atomicio import atomic_write_text
-from repro.utils.backoff import BackoffPolicy
 from repro.utils.records import Damaged, decode
 
 CHECKPOINT_FORMAT = 3
@@ -97,139 +89,6 @@ class _CheckpointDamaged(StudyError):
     mismatch, which must not silently fall back."""
 
 
-@dataclass(frozen=True)
-class CellBudget:
-    """Per-cell execution limits.
-
-    ``max_seconds`` is a wall-clock budget checked between repetitions
-    and attempts; exceeding it records a ``timeout`` failure.
-    ``max_steps`` is the SIMT micro-step budget for kernel-level
-    execution (forwarded to :class:`~repro.gpu.simt.SimtExecutor`),
-    which converts infinite polling loops into
-    :class:`~repro.errors.DeadlockError` — recorded here as
-    ``livelock``.  Performance-level runs always terminate, so for them
-    only the wall-clock limit and injected livelocks apply.
-    """
-
-    max_seconds: float | None = None
-    max_steps: int | None = None
-
-
-@dataclass(frozen=True)
-class CellFailure:
-    """One failed sweep cell, preserved instead of crashing the sweep.
-
-    Field names mirror :class:`~repro.core.study.SpeedupCell` so report
-    code can lay failures out in the same grid.
-    """
-
-    algorithm: str
-    input_name: str
-    device_key: str
-    variant: str
-    reason: str           # livelock | timeout | validation | fault | error
-    message: str
-    attempts: int
-    elapsed_s: float
-
-    def describe(self) -> str:
-        return (f"FAIL({self.reason}) {self.algorithm}/{self.input_name}/"
-                f"{self.device_key}/{self.variant}")
-
-
-@dataclass(frozen=True)
-class GuardedFailure:
-    """Outcome classification produced by :func:`run_guarded`."""
-
-    reason: str
-    message: str
-    attempts: int
-    elapsed_s: float
-
-
-def run_guarded(
-    fn: Callable[[int], object],
-    retries: int = 0,
-    backoff_s: float = 0.0,
-    budget: CellBudget | None = None,
-    sleep: Callable[[float], None] = time.sleep,
-    backoff: BackoffPolicy | None = None,
-):
-    """Run ``fn(attempt)`` under the resilience policy.
-
-    Returns ``(value, None)`` on success or ``(None, GuardedFailure)``
-    on failure.  The policy:
-
-    * :class:`TransientKernelFault` — retry up to ``retries`` times
-      with exponential full-jitter backoff (a
-      :class:`~repro.utils.backoff.BackoffPolicy` built from
-      ``backoff_s``, or ``backoff`` verbatim when given), clamped to
-      the wall-clock budget's remaining time so a retry can never
-      sleep past its own deadline; ``fn``
-      receives the attempt index so it can derive fresh schedule seeds.
-    * :class:`DeadlockError` — recorded as ``livelock`` (the step
-      budget turned an infinite polling loop into this error); no
-      retry, livelocks are schedule-lottery losses the caller should
-      see.
-    * :class:`CellTimeoutError` — recorded as ``timeout``.
-    * :class:`ValidationError` — recorded as ``validation`` (silent
-      corruption caught by the reference checkers).
-    * any other :class:`ReproError` — recorded as ``error``.
-
-    Non-:class:`ReproError` exceptions propagate: they indicate bugs in
-    the harness, not failures of the simulated hardware.
-    """
-    if backoff is None and backoff_s > 0.0:
-        backoff = BackoffPolicy(base_s=backoff_s)
-    start = time.monotonic()
-    attempts = 0
-    last_message = ""
-    for attempt in range(max(0, retries) + 1):
-        if (budget is not None and budget.max_seconds is not None
-                and time.monotonic() - start > budget.max_seconds):
-            return None, GuardedFailure(
-                "timeout",
-                f"cell exceeded {budget.max_seconds:g}s wall-clock budget "
-                f"before attempt {attempt}",
-                attempts, time.monotonic() - start)
-        attempts += 1
-        try:
-            return fn(attempt), None
-        except SweepInterrupted:
-            # raised by the graceful-interrupt signal handler, which
-            # can fire at any bytecode — an operator stop, never a
-            # recordable cell failure
-            raise
-        except TransientKernelFault as exc:
-            last_message = str(exc)
-            if attempt < retries and backoff is not None:
-                remaining = None
-                if (budget is not None
-                        and budget.max_seconds is not None):
-                    remaining = (budget.max_seconds
-                                 - (time.monotonic() - start))
-                delay = backoff.delay(attempt, remaining_s=remaining)
-                if delay > 0.0:
-                    sleep(delay)
-        except CellTimeoutError as exc:
-            return None, GuardedFailure(
-                "timeout", str(exc), attempts, time.monotonic() - start)
-        except DeadlockError as exc:
-            return None, GuardedFailure(
-                "livelock", str(exc), attempts, time.monotonic() - start)
-        except ValidationError as exc:
-            return None, GuardedFailure(
-                "validation", str(exc), attempts, time.monotonic() - start)
-        except ReproError as exc:
-            return None, GuardedFailure(
-                "error", str(exc), attempts, time.monotonic() - start)
-    return None, GuardedFailure(
-        "fault",
-        f"transient fault persisted through {attempts} attempt(s): "
-        f"{last_message}",
-        attempts, time.monotonic() - start)
-
-
 @dataclass
 class SweepResult:
     """Outcome of one :meth:`ResilientStudy.sweep` (one device table)."""
@@ -252,23 +111,12 @@ class SweepResult:
 
 
 class ResilientStudy(Study):
-    """A :class:`Study` that survives the failures it measures.
+    """A :class:`Study` whose sweeps survive the failures they measure
+    and the process that runs them.
 
-    Parameters beyond :class:`Study`'s:
+    Takes :class:`Study`'s parameters (the cell policy: ``retries``,
+    ``backoff_s``, ``budget``, ``faults``) plus:
 
-    retries:
-        Extra attempts per cell after a transient kernel fault, each
-        with a fresh schedule-seed family.
-    backoff_s:
-        Base of the exponential full-jitter retry backoff
-        (:class:`~repro.utils.backoff.BackoffPolicy`; 0 disables
-        sleeping).
-    budget:
-        Per-cell :class:`CellBudget` (wall-clock and SIMT step limits).
-    faults:
-        Optional :class:`~repro.gpu.faults.FaultPlan`; every repetition
-        of every cell gets its own deterministic injector derived from
-        (cell key, repetition, attempt).
     checkpoint:
         Path for incremental checkpoints: after every cell a complete
         generation (every result and failure) is written and fsynced
@@ -278,31 +126,14 @@ class ResilientStudy(Study):
         an interrupted sweep, executing only the missing cells.
     """
 
-    def __init__(self, reps: int = 9, scale: float = 1.0,
-                 validate: bool = False, retries: int = 0,
-                 backoff_s: float = 0.0,
-                 budget: CellBudget | None = None,
-                 faults: FaultPlan | None = None,
-                 checkpoint: str | Path | None = None,
-                 trace_cache=None, jobs: int | None = None) -> None:
-        super().__init__(reps=reps, scale=scale, validate=validate,
-                         trace_cache=trace_cache, jobs=jobs)
-        if retries < 0:
-            raise StudyError(f"retries must be >= 0, got {retries}")
-        self.retries = retries
-        self.backoff_s = backoff_s
-        self.budget = budget or CellBudget()
-        self.faults = faults
+    def __init__(self, *args, checkpoint: str | Path | None = None,
+                 **kwargs) -> None:
+        super().__init__(*args, **kwargs)
         self.checkpoint = None if checkpoint is None else Path(checkpoint)
-        self._failures: dict[tuple, CellFailure] = {}
-        self._failure_texts = RecordTexts(self._failure_record)
+        self._failure_texts = RecordTexts(CellFailure.to_record)
         #: (path, bytes) of the last checkpoint this study wrote
         #: successfully — a generation verified by construction
         self._last_write: tuple[Path, bytes] | None = None
-        #: cells actually simulated in this process (memoized or
-        #: checkpoint-loaded cells do not count) — the observable that
-        #: resume tests assert on
-        self.cells_executed = 0
         #: times :meth:`load_checkpoint` had to fall back to the
         #: rotated ``.prev`` generation
         self.checkpoint_fallbacks = 0
@@ -313,109 +144,16 @@ class ResilientStudy(Study):
         self.checkpoint_write_errors = 0
 
     # ------------------------------------------------------------------
-    # Cell execution
+    # Views over Study.run_cell
     # ------------------------------------------------------------------
-    def _count_cell(self, outcome: str, attempts: int) -> None:
-        reg = get_registry()
-        if not reg.enabled:
-            return
-        reg.counter("repro_cells_total",
-                    "Sweep cells executed, by final outcome", ("outcome",)
-                    ).inc(1, outcome)
-        reg.counter("repro_cell_attempts_total",
-                    "Cell execution attempts (first tries + retries)"
-                    ).inc(max(attempts, 1))
-        if attempts > 1:
-            reg.counter("repro_cell_retries_total",
-                        "Extra attempts after transient kernel faults"
-                        ).inc(attempts - 1)
-        if outcome == "timeout":
-            reg.counter("repro_watchdog_trips_total",
-                        "Cells stopped by the wall-clock budget watchdog"
-                        ).inc(1)
-
-    def _injector(self, key: tuple, rep: int, attempt: int):
-        if self.faults is None:
-            return None
-        algorithm, name, device, variant = key
-        return self.faults.injector(
-            algorithm, name, device, variant.value, rep, attempt)
-
-    def run_cell(self, algorithm: str, graph_or_name, device: str,
-                 variant: Variant) -> RunResult | CellFailure:
-        """Run one configuration with fault isolation.
-
-        Returns the memoized :class:`RunResult` on success, or a
-        :class:`CellFailure` record — never raises for failures of the
-        simulated execution itself.
-        """
-        key, name = self._memo_key(algorithm, graph_or_name, device, variant)
-        if key in self._results:
-            return self._results[key]
-        if key in self._failures:
-            return self._failures[key]
-
-        algo = get_algorithm(algorithm)
-        spec = get_device(device)
-        graph = self._prepare_graph(algo, graph_or_name)
-        deadline = (None if self.budget.max_seconds is None
-                    else time.monotonic() + self.budget.max_seconds)
-        attempts_made = [0]
-
-        def attempt_cell(attempt: int) -> RunResult:
-            attempts_made[0] = attempt + 1
-            runtimes: list[float] = []
-            last: PerfRun | None = None
-            for rep in range(self.reps):
-                if deadline is not None and time.monotonic() > deadline:
-                    raise CellTimeoutError(
-                        f"cell exceeded {self.budget.max_seconds:g}s "
-                        f"wall-clock budget after {rep} of {self.reps} "
-                        "repetitions"
-                    )
-                run = run_algorithm(
-                    algo, graph, spec, variant,
-                    seed=self._rep_seed(rep, attempt),
-                    faults=self._injector(key, rep, attempt),
-                    trace_cache=self.trace_cache,
-                    need_output=self.validate)
-                if self.validate:
-                    self._validate(algo, graph, run)
-                runtimes.append(run.runtime_ms)
-                last = run
-            return RunResult(algorithm, name, device, variant,
-                             runtimes, last)
-
-        with get_spans().span("sweep.cell", algorithm=algorithm,
-                              input=name, device=device,
-                              variant=variant.value) as sp:
-            value, failure = run_guarded(
-                attempt_cell, retries=self.retries,
-                backoff_s=self.backoff_s, budget=self.budget)
-            outcome = "ok" if failure is None else failure.reason
-            sp.set(outcome=outcome, attempts=attempts_made[0])
-        self._count_cell(outcome, attempts_made[0])
-        self.cells_executed += 1
-        if failure is not None:
-            record = CellFailure(
-                algorithm=algorithm, input_name=name, device_key=device,
-                variant=variant.value, reason=failure.reason,
-                message=failure.message, attempts=failure.attempts,
-                elapsed_s=failure.elapsed_s)
-            self._failures[key] = record
-            self._autosave()
-            return record
-        self._results[key] = value
-        self._autosave()
-        return value
-
     def run(self, algorithm: str, graph_or_name, device: str,
             variant: Variant) -> RunResult:
         """Strict view of :meth:`run_cell`: raises on a failed cell.
 
-        Keeps the plain :class:`Study` API working on the resilient
-        path (budgets, retries, fault plans, per-cell checkpoints)
-        while preserving exact results when nothing goes wrong.
+        Unlike :meth:`Study.run`, a failure always surfaces as a
+        :class:`~repro.errors.StudyError` naming the ``FAIL(reason)``
+        cell — the cell policy already classified (and checkpointed)
+        it.
         """
         out = self.run_cell(algorithm, graph_or_name, device, variant)
         if isinstance(out, CellFailure):
@@ -430,27 +168,8 @@ class ResilientStudy(Study):
         variant even when the other fails); a failure of either variant
         makes the cell a :class:`CellFailure`, baseline first.
         """
-        algo = get_algorithm(algorithm)
-        if not algo.has_races:
-            raise StudyError(
-                f"{algorithm} has no data races (Section IV.A); the paper "
-                "does not measure its race-free speedup"
-            )
-        base = self.run_cell(algorithm, graph_or_name, device,
-                             Variant.BASELINE)
-        free = self.run_cell(algorithm, graph_or_name, device,
-                             Variant.RACE_FREE)
-        if isinstance(base, CellFailure):
-            return base
-        if isinstance(free, CellFailure):
-            return free
-        return SpeedupCell(
-            algorithm=algorithm,
-            input_name=base.input_name,
-            device_key=device,
-            baseline_ms=base.median_ms,
-            racefree_ms=free.median_ms,
-        )
+        return self._speedup(algorithm, graph_or_name, device,
+                             self.run_cell)
 
     def sweep(self, device: str, algorithms: list[str],
               inputs: list[str], jobs: int | None = None) -> SweepResult:
@@ -462,19 +181,9 @@ class ResilientStudy(Study):
         cells, checkpoints, and ``save_results`` output are
         bit-identical to the serial path.
         """
-        jobs = jobs if jobs is not None else self.jobs
         with self._graceful_interrupt():
-            with get_spans().span("study.sweep", device=device, jobs=jobs,
-                                  cells=len(algorithms) * len(inputs),
-                                  resilient=True):
-                if jobs > 1:
-                    self._parallel_prefetch(device, algorithms, inputs,
-                                            jobs)
-                cells = [
-                    self.speedup_cell(a, name, device)
-                    for name in inputs
-                    for a in algorithms
-                ]
+            cells = self._table(device, algorithms, inputs, jobs,
+                                self.speedup_cell, resilient=True)
         return SweepResult(device_key=device, cells=cells)
 
     @contextlib.contextmanager
@@ -516,55 +225,6 @@ class ResilientStudy(Study):
             for sig, old in previous.items():
                 with contextlib.suppress(OSError, ValueError):
                     signal.signal(sig, old)
-
-    # ------------------------------------------------------------------
-    # Parallel execution hooks (see repro.core.parallel)
-    # ------------------------------------------------------------------
-    def _cell_done(self, key: tuple) -> bool:
-        return key in self._results or key in self._failures
-
-    def _worker_config(self):
-        from repro.core.parallel import WorkerConfig
-
-        trace_dir = (str(self.trace_cache.disk_dir)
-                     if self.trace_cache is not None
-                     and self.trace_cache.disk_dir is not None else None)
-        from repro.core import hostfaults
-        from repro.telemetry.metrics import telemetry_enabled
-
-        return WorkerConfig(resilient=True, reps=self.reps,
-                            scale=self.scale, validate=self.validate,
-                            retries=self.retries, backoff_s=self.backoff_s,
-                            budget=self.budget, faults=self.faults,
-                            trace_dir=trace_dir,
-                            telemetry=telemetry_enabled(),
-                            hostfaults=hostfaults.active_plan())
-
-    def _merge_parallel_record(self, record: dict) -> None:
-        if record.get("kind") == "telemetry":
-            self._merge_telemetry_record(record)
-            return
-        variant = Variant(record["variant"])
-        key = (record["algorithm"], record["input"], record["device"],
-               variant)
-        if key in self._results or key in self._failures:
-            return
-        if record["kind"] == "failure":
-            self._failures[key] = CellFailure(
-                algorithm=record["algorithm"],
-                input_name=record["input"],
-                device_key=record["device"],
-                variant=record["variant"],
-                reason=record["reason"],
-                message=record["message"],
-                attempts=int(record["attempts"]),
-                elapsed_s=float(record["elapsed_s"]))
-        else:
-            super()._merge_parallel_record(record)
-        # each record is one cell a worker actually executed (the
-        # parent only submits cells missing from memo and checkpoint)
-        self.cells_executed += 1
-        self._autosave()
 
     def failures(self) -> list[CellFailure]:
         """Every failure recorded (or checkpoint-loaded) so far."""
@@ -636,19 +296,6 @@ class ResilientStudy(Study):
         atomic_write_text(path, text)
         self._last_write = (path, text.encode())
 
-    @staticmethod
-    def _failure_record(f: CellFailure) -> dict:
-        return {
-            "algorithm": f.algorithm,
-            "input": f.input_name,
-            "device": f.device_key,
-            "variant": f.variant,
-            "reason": f.reason,
-            "message": f.message,
-            "attempts": f.attempts,
-            "elapsed_s": f.elapsed_s,
-        }
-
     def _rotate_generation(self, path: Path) -> None:
         """Keep the last *good* generation as ``.prev``.
 
@@ -716,33 +363,18 @@ class ResilientStudy(Study):
         half-loaded.  Damaged records are skipped (and counted as
         ``checkpoint_salvaged``) rather than discarding the generation.
         """
-        staged_results: dict[tuple, RunResult] = {}
-        staged_failures: dict[tuple, CellFailure] = {}
+        staged: dict[str, dict[tuple, object]] = {}
         skipped = 0
-        for rec in payload.get("results", []):
-            try:
-                variant = Variant(rec["variant"])
-                key = (rec["algorithm"], rec["input"], rec["device"],
-                       variant)
-                staged_results[key] = RunResult(
-                    rec["algorithm"], rec["input"], rec["device"],
-                    variant, [float(x) for x in rec["runtimes_ms"]],
-                    last_run=None)
-            except (KeyError, TypeError, ValueError):
-                skipped += 1
-        for rec in payload.get("failures", []):
-            try:
-                variant = Variant(rec["variant"])
-                key = (rec["algorithm"], rec["input"], rec["device"],
-                       variant)
-                staged_failures[key] = CellFailure(
-                    algorithm=rec["algorithm"], input_name=rec["input"],
-                    device_key=rec["device"], variant=rec["variant"],
-                    reason=rec["reason"], message=rec.get("message", ""),
-                    attempts=int(rec.get("attempts", 1)),
-                    elapsed_s=float(rec.get("elapsed_s", 0.0)))
-            except (KeyError, TypeError, ValueError):
-                skipped += 1
+        for field, codec in (("results", RunResult),
+                             ("failures", CellFailure)):
+            staged[field] = {}
+            for rec in payload.get(field, []):
+                try:
+                    out = codec.from_record(rec)
+                except (KeyError, TypeError, ValueError):
+                    skipped += 1
+                    continue
+                staged[field][out.key] = out
         if skipped:
             self.checkpoint_salvaged += skipped
             reg = get_registry()
@@ -751,9 +383,9 @@ class ResilientStudy(Study):
                             "Malformed checkpoint records skipped during "
                             "a salvage load", scope=SCOPE_PROCESS
                             ).inc(skipped)
-        self._results.update(staged_results)
-        self._failures.update(staged_failures)
-        return len(staged_results), len(staged_failures)
+        self._results.update(staged["results"])
+        self._failures.update(staged["failures"])
+        return len(staged["results"]), len(staged["failures"])
 
     def load_checkpoint(self, path: str | Path | None = None
                         ) -> tuple[int, int]:

@@ -36,11 +36,10 @@ from __future__ import annotations
 import threading
 from concurrent.futures import Future
 from dataclasses import dataclass
-from statistics import median
 
 from repro.core.parallel import CellTask, OrderedMerge, Supervisor
-from repro.core.resilience import CellBudget, CellFailure, ResilientStudy
-from repro.core.study import SpeedupCell
+from repro.core.resilience import ResilientStudy
+from repro.core.study import CellBudget, CellFailure, RunResult, SpeedupCell
 from repro.core.variants import Variant
 from repro.errors import ServiceError, WorkerTaskError
 from repro.service.protocol import CellKey
@@ -143,16 +142,14 @@ class FleetExecutor:
 
         with self._study_lock:
             study = self.study
-            # a previously failed cell is memoized as failed for the
-            # ledger's lifetime; a fresh service-level attempt must
-            # execute and merge, so re-arm it (the breaker — not the
-            # memo — is the service's failure memory)
-            cells = [(key.algorithm, key.input_name, key.device, v)
-                     for v in Variant]
-            for cell in cells:
-                study._failures.pop(cell, None)
-            pending = tuple(cell[3].value for cell in cells
-                            if cell not in study._results)
+            # a fresh service-level attempt at a failed cell must
+            # execute and merge
+            study.forget_failures(key.algorithm, key.input_name,
+                                  key.device)
+            pending = tuple(
+                v.value for v in Variant
+                if (key.algorithm, key.input_name, key.device, v)
+                not in study._results)
         if not pending:
             future.set_result(self._cell_from_records(key, []))
             return future
@@ -275,7 +272,7 @@ class FleetExecutor:
         # every resolved cell must already be folded into the ledger
         self._stage(task, records, executed=True)
         self._resolve(task, records)
-        results = [r for r in records if r.get("kind") == "result"]
+        results = [r for r in records if r.get("kind") == RunResult.KIND]
         if self.store is not None and len(results) == len(Variant):
             self.store.publish(task.key.algorithm, task.key.input_name,
                                task.key.device, results)
@@ -301,36 +298,28 @@ class FleetExecutor:
     def _cell_from_records(self, key: CellKey, records: list[dict]):
         """The cell a worker's records describe — baseline failure
         first, like ``speedup_cell``; a variant the records do not
-        carry comes from the ledger memo.  Medians exactly as the
-        ledger's :class:`RunResult` would compute them."""
-        runtimes: dict[str, list[float]] = {}
+        carry comes from the ledger memo."""
+        results: dict[Variant, RunResult] = {}
         for record in records:
-            if record.get("kind") == "failure":
-                return CellFailure(
-                    algorithm=record["algorithm"],
-                    input_name=record["input"],
-                    device_key=record["device"],
-                    variant=record["variant"], reason=record["reason"],
-                    message=record["message"],
-                    attempts=int(record["attempts"]),
-                    elapsed_s=float(record["elapsed_s"]))
-            if record.get("kind") == "result":
-                runtimes[record["variant"]] = [
-                    float(x) for x in record["runtimes_ms"]]
+            if record.get("kind") == CellFailure.KIND:
+                return CellFailure.from_record(record)
+            if record.get("kind") == RunResult.KIND:
+                result = RunResult.from_record(record)
+                results[result.variant] = result
         with self._study_lock:
             for variant in Variant:
                 memo = self.study._results.get(
                     (key.algorithm, key.input_name, key.device, variant))
-                if variant.value not in runtimes and memo is not None:
-                    runtimes[variant.value] = memo.runtimes_ms
-        base = runtimes.get(Variant.BASELINE.value)
-        free = runtimes.get(Variant.RACE_FREE.value)
-        if not base or not free:
+                if memo is not None:
+                    results.setdefault(variant, memo)
+        base = results.get(Variant.BASELINE)
+        free = results.get(Variant.RACE_FREE)
+        if base is None or free is None:
             return CellFailure(
                 algorithm=key.algorithm, input_name=key.input_name,
                 device_key=key.device, variant=Variant.BASELINE.value,
                 reason="fleet", message="worker returned an incomplete "
                 "record set", attempts=1, elapsed_s=0.0)
         return SpeedupCell(key.algorithm, key.input_name, key.device,
-                           baseline_ms=median(base),
-                           racefree_ms=median(free))
+                           baseline_ms=base.median_ms,
+                           racefree_ms=free.median_ms)

@@ -48,7 +48,6 @@ from typing import Callable
 
 from repro.core.resilience import CellBudget, ResilientStudy
 from repro.core.study import SpeedupCell
-from repro.core.variants import Variant
 from repro.errors import ServiceError
 from repro.service.protocol import CellKey
 from repro.telemetry.metrics import SCOPE_PROCESS, get_registry
@@ -126,14 +125,10 @@ class StudyExecutor:
     def _run(self, key: CellKey, budget_s: float | None):
         with self._study_lock:
             study = self.study
-            # a previously failed cell is memoized as failed for the
-            # study's lifetime; a fresh service-level attempt must
-            # actually execute, so re-arm it (the breaker — not the
-            # memo — is the service's failure memory)
-            for variant in Variant:
-                study._failures.pop(
-                    (key.algorithm, key.input_name, key.device, variant),
-                    None)
+            # a fresh service-level attempt at a failed cell must
+            # actually execute
+            study.forget_failures(key.algorithm, key.input_name,
+                                  key.device)
             study.budget = CellBudget(max_seconds=budget_s,
                                       max_steps=self._max_steps)
             result = study.sweep(key.device, [key.algorithm],

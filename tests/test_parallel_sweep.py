@@ -18,6 +18,7 @@ from repro.core.parallel import JOBS_ENV, CellTask, execute_tasks, resolve_jobs
 from repro.core.study import SpeedupCell
 from repro.errors import StudyError
 from repro.gpu.faults import FaultPlan
+from repro.graphs import generators as gen
 from repro.graphs.suite import load_suite_graph
 
 ALGOS = ["cc", "mis"]
@@ -109,6 +110,27 @@ class TestParallelStudy:
         assert (tmp_path / "serial.json").read_bytes() == \
             (tmp_path / "parallel.json").read_bytes()
 
+    def test_model_priced_sweep_runs_on_workers(self, tmp_path,
+                                                monkeypatch):
+        submitted = []
+        real = parallel.execute_tasks
+
+        def counting(config, tasks, *args, **kwargs):
+            submitted.extend(tasks)
+            return real(config, tasks, *args, **kwargs)
+
+        monkeypatch.setattr(parallel, "execute_tasks", counting)
+        serial = Study(reps=1, memory_model="ptx:acq_rel", jobs=1)
+        serial.speedup_table(DEVICE, ALGOS, INPUTS)
+        serial.save_results(tmp_path / "serial.json")
+        assert not submitted
+        par = Study(reps=1, memory_model="ptx:acq_rel", jobs=2)
+        par.speedup_table(DEVICE, ALGOS, INPUTS)
+        par.save_results(tmp_path / "parallel.json")
+        assert len(submitted) > 0
+        assert (tmp_path / "serial.json").read_bytes() == \
+            (tmp_path / "parallel.json").read_bytes()
+
     def test_parallel_fills_the_memo(self):
         study = Study(reps=1)
         study.speedup_table(DEVICE, ALGOS, INPUTS, jobs=2)
@@ -169,6 +191,42 @@ class TestParallelResilientStudy:
         second = ResilientStudy(reps=1, trace_cache=trace_dir)
         cells_b = second.sweep(DEVICE, ALGOS, INPUTS, jobs=2).cells
         assert _cells(cells_a) == _cells(cells_b)
+
+
+def _clashing_graphs():
+    first = gen.random_uniform(40, 3.0, seed=9, name="clash")
+    second = gen.random_uniform(40, 3.0, seed=10, name="clash")
+    assert first.fingerprint() != second.fingerprint()
+    return first, second
+
+
+def _saved_devices(study, path) -> set[str]:
+    import json
+
+    study.save_results(path)
+    return {r["device"] for r in json.loads(path.read_text())["results"]}
+
+
+class TestParallelNameClash:
+    """A graph reusing an earlier graph's name with different content
+    is rejected before any worker runs, exactly like the serial path."""
+
+    def test_study_merges_nothing_for_the_clash(self, tmp_path):
+        g1, g2 = _clashing_graphs()
+        study = Study(reps=1, jobs=2)
+        study.speedup_table("titanv", ["cc"], [g1])
+        with pytest.raises(StudyError, match="already used"):
+            study.speedup_table("a100", ["cc"], [g2])
+        assert _saved_devices(study, tmp_path / "r.json") == {"titanv"}
+
+    def test_resilient_sweep_merges_nothing_for_the_clash(self, tmp_path):
+        g1, g2 = _clashing_graphs()
+        study = ResilientStudy(reps=1, jobs=2)
+        study.sweep("titanv", ["cc"], [g1])
+        with pytest.raises(StudyError, match="already used"):
+            study.sweep("a100", ["cc"], [g2])
+        assert _saved_devices(study, tmp_path / "r.json") == {"titanv"}
+        assert study.failures() == []
 
 
 def test_cli_sweep_jobs_smoke(capsys):

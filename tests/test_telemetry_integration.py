@@ -114,7 +114,7 @@ def test_parallel_worker_spans_are_attributed():
         study.speedup_table("titanv", ["cc"], INPUTS)
         shipped = [s for s in spans.finished if "worker" in s.attrs]
         assert shipped, "worker spans should be merged with attribution"
-        assert any(s.name == "study.run" for s in shipped)
+        assert any(s.name == "sweep.cell" for s in shipped)
 
 
 # ----------------------------------------------------------------------
@@ -176,8 +176,8 @@ def test_cells_total_ok_path():
         study = ResilientStudy(reps=1, trace_cache=False)
         study.sweep("titanv", ["cc"], INPUTS)
         assert registry.get("repro_cells_total").value("ok") == 2
-        # the resilient cell runner drives run_algorithm directly, so
-        # its tree is sweep -> cell -> record (no study.run level)
+        # the one cell executor drives run_algorithm directly, so the
+        # tree is sweep -> cell -> record
         span_names = {s.name for s in _spans.finished}
         assert {"study.sweep", "sweep.cell", "perf.record"} <= span_names
 
