@@ -45,6 +45,7 @@ from repro.errors import ExplorationError
 from repro.gpu.interleave import PendingOp, Scheduler
 from repro.gpu.simt import DRAIN_BASE, AccessEvent
 from repro.check.replay import DecisionLog, stay_policy
+from repro.telemetry.metrics import SCOPE_PROCESS, get_registry
 
 __all__ = ["ExploreBudget", "BUDGETS", "RunOutcome", "ExploreResult",
            "ScheduleExplorer", "state_fingerprint"]
@@ -171,7 +172,7 @@ class _DirectedScheduler(Scheduler):
         self._sleep = dict(sleep)
         self.picks: list[int] = []
         self.runnables: list[tuple[int, ...]] = []
-        self.pendings: list[dict[int, PendingOp]] = []
+        self.pendings: list[Mapping[int, PendingOp]] = []
         self.sleep_snapshots: dict[int, dict[int, PendingOp]] = {}
         self.launch_starts: list[int] = []
         self.redundant = False
@@ -206,7 +207,7 @@ class _DirectedScheduler(Scheduler):
                                else None)
         self.picks.append(pick)
         self.runnables.append(tuple(runnable))
-        self.pendings.append({t: self._pending.get(t) for t in runnable})
+        self.pendings.append(self._pending)
         if index >= self.sleep_depth and self._sleep:
             op = self._pending.get(pick)
             for q in list(self._sleep):
@@ -245,7 +246,7 @@ class _Node:
     """One decision point on the current DFS stack."""
 
     runnable: tuple[int, ...]
-    pending: dict[int, PendingOp]
+    pending: Mapping[int, PendingOp]
     pick: int
     last_before: int | None            #: thread that ran the previous step
     preempt_prefix: int                #: preemptions strictly before here
@@ -384,6 +385,16 @@ class ScheduleExplorer:
 
         result.distinct_final_states = len(finals - {None})
         result.wall_seconds = time.monotonic() - started
+        reg = get_registry()
+        if reg.enabled:
+            reg.counter("repro_check_schedules_total",
+                        "Schedules explored to completion",
+                        ("mode",), scope=SCOPE_PROCESS).inc(
+                            result.schedules, self.mode)
+            reg.counter("repro_check_redundant_pruned_total",
+                        "Runs aborted by sleep sets",
+                        ("mode",), scope=SCOPE_PROCESS).inc(
+                            result.redundant_pruned, self.mode)
         return result
 
     # ------------------------------------------------------------------
@@ -448,14 +459,26 @@ class ScheduleExplorer:
                               sched: _DirectedScheduler,
                               events: list[AccessEvent]) -> None:
         """Flanagan-Godefroid backtrack computation from the conflict
-        relation of the just-executed trace."""
+        relation of the just-executed trace.
+
+        For each memory event and each other thread ``q``, the most
+        recent access of ``q`` that the event depends on is nominated,
+        unless a launch boundary or a ``__syncthreads()`` of the event's
+        block lies between them.  A decision may carry several events
+        (an atomic that forces store-buffer drains, a block-scope
+        release promoting multiple entries); scheduled drains act under
+        their own DRAIN_BASE+seq pseudo-tid."""
         steps = _trace_steps(sched, events)
-        # per-thread history of (decision, op, launch, block, epoch) for
-        # every memory event that thread performed.  A decision may carry
-        # several events (an atomic that forces store-buffer drains, a
-        # block-scope release promoting multiple entries); scheduled
-        # drains act under their own DRAIN_BASE+seq pseudo-tid.
-        by_thread: dict[int, list[tuple]] = {}
+        # q's accesses per array as (position, decision, start, end):
+        # every access, and the writes alone (all a read depends on)
+        accesses: dict[str, dict[int, list[tuple]]] = {}
+        writes: dict[str, dict[int, list[tuple]]] = {}
+        # the newest position of an entry of q that orders everything
+        # older, from the last two runs of equal value in q's history:
+        # [value, last position of the newest run, last position of the
+        # run before] for q's launches, and for q's epochs per block
+        launches: dict[int, list] = {}
+        epochs: dict[tuple[int, int], list] = {}
 
         def nominate(node: _Node, tid: int) -> None:
             # Source-DPOR-style insertion: the canonical candidate only
@@ -473,6 +496,26 @@ class ScheduleExplorer:
             awake = set(node.runnable) - set(node.sleep)
             node.backtrack.update(awake or node.runnable)
 
+        def cutoff(q: int, launch: int, block: int, epoch: int) -> int:
+            """Position of q's newest entry in another launch, or in
+            ``block`` at another epoch (-1 when there is none)."""
+            run = launches[q]
+            cut = run[1] if run[0] != launch else run[2]
+            run = epochs.get((q, block))
+            if run is not None:
+                cut = max(cut, run[1] if run[0] != epoch else run[2])
+            return cut
+
+        def advance(runs: dict, key, value: int, pos: int) -> None:
+            run = runs.get(key)
+            if run is None:
+                runs[key] = [value, pos, -1]
+            elif run[0] == value:
+                run[1] = pos
+            else:
+                runs[key] = [value, pos, run[1]]
+
+        pos = 0
         for d, infos in enumerate(steps):
             here = stack[d] if d < len(stack) else None
             for tid, op, launch, block, epoch in infos:
@@ -488,19 +531,28 @@ class ScheduleExplorer:
                         if (q >= DRAIN_BASE and q != tid
                                 and _dependent(op, here.pending.get(q))):
                             nominate(here, q)
-                for q, history in by_thread.items():
+                array, start, nbytes, _, is_write, _ = op
+                end = start + nbytes
+                partners = (accesses if is_write else writes).get(array, {})
+                for q, history in partners.items():
                     if q == tid:
                         continue
-                    for j, jop, jlaunch, jblock, jepoch in reversed(history):
-                        if jlaunch != launch:
-                            break  # launch barrier orders everything older
-                        if jblock == block and jepoch != epoch:
-                            break  # __syncthreads() between them
-                        if _dependent(op, jop):
+                    cut = cutoff(q, launch, block, epoch)
+                    for jpos, j, jstart, jend in reversed(history):
+                        if jpos <= cut:
+                            break
+                        if jstart < end and start < jend:
                             nominate(stack[j], tid)
                             break
-                by_thread.setdefault(tid, []).append(
-                    (d, op, launch, block, epoch))
+                entry = (pos, d, start, end)
+                accesses.setdefault(array, {}).setdefault(
+                    tid, []).append(entry)
+                if is_write:
+                    writes.setdefault(array, {}).setdefault(
+                        tid, []).append(entry)
+                advance(launches, tid, launch, pos)
+                advance(epochs, (tid, block), epoch, pos)
+                pos += 1
 
     def _select_branch(self, stack: list[_Node], result: ExploreResult):
         """Deepest node with an unexplored, unpruned choice."""

@@ -34,16 +34,30 @@ of the observed trace even if this trace separated the pair — those
 reports carry ``predicted=True``.  On race-free programs every
 conflicting pair is ordered, so prediction can never introduce a false
 positive there.
+
+**Span-granular shadow.**  The state above is defined per byte, but
+kernels touch each array in fixed-width pieces, so the engine keeps one
+shadow *segment* per ``(array, start)`` with the span width stored: all
+bytes of a segment always see the same accesses and therefore hold the
+same state.  The segments of an array stay disjoint.  The first access
+that overlaps a segment of a different width (a sub-word write into a
+word, an 8-byte atomic over two 4-byte pieces) converts that whole
+array to per-byte state, copying each segment's state to its bytes;
+from then on the array is tracked byte by byte.  A segment check
+gathers the racy partners once and reports them for each byte in
+ascending order, which is exactly the ``on_report`` call sequence of a
+per-byte shadow, so report caps, deduplication and early stops behave
+identically.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from repro.gpu.accesses import AccessKind
 from repro.gpu.simt import AccessEvent
+from repro.telemetry.metrics import SCOPE_PROCESS, get_registry
 
 
 class VectorClock:
@@ -80,8 +94,7 @@ class VectorClock:
         return f"<VC {body}>"
 
 
-@dataclass(frozen=True)
-class Epoch:
+class Epoch(NamedTuple):
     """One access stamped with its thread clock (FastTrack's ``c@t``)."""
 
     tid: int
@@ -89,16 +102,29 @@ class Epoch:
     event: AccessEvent
 
 
-@dataclass
-class _ByteShadow:
-    """Shadow state for one byte of one array."""
+class _Shadow:
+    """Shadow state shared by the ``width`` bytes of one segment."""
 
-    last_write: Epoch | None = None
-    #: readers since the last write, newest epoch per thread
-    readers: dict[int, Epoch] = field(default_factory=dict)
-    #: displaced writes/readers — the predictive window
-    write_history: deque = field(default_factory=lambda: deque(maxlen=4))
-    read_history: deque = field(default_factory=lambda: deque(maxlen=8))
+    __slots__ = ("width", "last_write", "readers", "write_history",
+                 "read_history")
+
+    def __init__(self, width: int, history: int) -> None:
+        self.width = width
+        self.last_write: Epoch | None = None
+        #: readers since the last write, newest epoch per thread
+        self.readers: dict[int, Epoch] = {}
+        #: displaced writes/readers — the predictive window
+        self.write_history: deque = deque(maxlen=history)
+        self.read_history: deque = deque(maxlen=2 * history)
+
+    def byte_copy(self) -> "_Shadow":
+        """An independent one-byte shadow holding this state."""
+        copy = _Shadow(1, 0)
+        copy.last_write = self.last_write
+        copy.readers = dict(self.readers)
+        copy.write_history = self.write_history.copy()
+        copy.read_history = self.read_history.copy()
+        return copy
 
 
 def conflicts(a: AccessEvent, b: AccessEvent) -> bool:
@@ -117,8 +143,9 @@ class VectorClockEngine:
     """Streams :class:`AccessEvent` records through epoch shadow state.
 
     ``on_report(first, second, byte, predicted) -> bool`` is invoked for
-    every racy pair found; returning False stops the analysis (the
-    caller implements deduplication and report caps).
+    every racy pair found, per byte in ascending order; returning False
+    stops the analysis (the caller implements deduplication and report
+    caps), and a stopped engine must not be fed again.
 
     Parameters
     ----------
@@ -154,7 +181,12 @@ class VectorClockEngine:
         self._barrier_clock: dict[int, VectorClock] = {}
         self._pending_barrier: dict[int, VectorClock] = {}
         self._thread_epoch: dict[int, int] = {}
-        self._shadow: dict[tuple[str, int], _ByteShadow] = {}
+        #: one segment per (array, start); one-byte segments per byte
+        #: for the arrays in ``_bytewise``
+        self._shadow: dict[tuple[str, int], _Shadow] = {}
+        #: per segment-granular array: byte -> start of its segment
+        self._owner: dict[str, dict[int, int]] = {}
+        self._bytewise: set[str] = set()
 
     # ------------------------------------------------------------------
     def _thread_clock(self, tid: int) -> VectorClock:
@@ -232,16 +264,26 @@ class VectorClockEngine:
                     (ev.span.array, ev.span.start, bucket), VectorClock())
                 dst.join(vc)
 
-        for byte in range(ev.span.start, ev.span.end):
-            shadow = self._shadow.get((ev.span.array, byte))
-            if shadow is None:
-                shadow = _ByteShadow(
-                    write_history=deque(maxlen=self._history),
-                    read_history=deque(maxlen=2 * self._history))
-                self._shadow[(ev.span.array, byte)] = shadow
-            if not self._check_byte(shadow, ev, vc, byte):
+        span = ev.span
+        array = span.array
+        shadow = None
+        if span.nbytes and array not in self._bytewise:
+            shadow = self._shadow.get((array, span.start))
+            if shadow is None or shadow.width != span.nbytes:
+                shadow = self._new_segment(array, span.start, span.end)
+        if shadow is not None:
+            if not self._check(shadow, ev, vc, span.start, span.end):
                 return False
-            self._update_byte(shadow, ev, epoch)
+            self._update(shadow, ev, epoch)
+        else:
+            for byte in range(span.start, span.end):
+                shadow = self._shadow.get((array, byte))
+                if shadow is None:
+                    shadow = self._shadow[(array, byte)] = _Shadow(
+                        1, self._history)
+                if not self._check(shadow, ev, vc, byte, byte + 1):
+                    return False
+                self._update(shadow, ev, epoch)
 
         # accumulate this thread's clock toward the next barrier
         pend = self._pending_barrier.setdefault(ev.block, VectorClock())
@@ -249,41 +291,76 @@ class VectorClockEngine:
         return True
 
     def analyze(self, events: Iterable[AccessEvent]) -> None:
+        fed = 0
         for ev in events:
+            fed += 1
             if not self.feed(ev):
-                return
+                break
+        reg = get_registry()
+        if reg.enabled:
+            reg.counter("repro_check_vclock_events_total",
+                        "Access events fed to the vector-clock engine",
+                        scope=SCOPE_PROCESS).inc(fed)
 
     # ------------------------------------------------------------------
-    def _check_byte(self, shadow: _ByteShadow, ev: AccessEvent,
-                    vc: VectorClock, byte: int) -> bool:
+    def _new_segment(self, array: str, start: int,
+                     end: int) -> _Shadow | None:
+        """Shadow for a span that matches no segment: a fresh segment
+        when it is disjoint from the array's segments, else None after
+        converting the array to per-byte state."""
+        owner = self._owner.setdefault(array, {})
+        if any(byte in owner for byte in range(start, end)):
+            self._to_bytes(array)
+            return None
+        shadow = self._shadow[(array, start)] = _Shadow(end - start,
+                                                        self._history)
+        for byte in range(start, end):
+            owner[byte] = start
+        return shadow
+
+    def _to_bytes(self, array: str) -> None:
+        """Give every byte of the array's segments its own copy of its
+        segment's state; the array stays per-byte from then on."""
+        self._bytewise.add(array)
+        for start in set(self._owner.pop(array).values()):
+            segment = self._shadow.pop((array, start))
+            for byte in range(start, start + segment.width):
+                self._shadow[(array, byte)] = segment.byte_copy()
+
+    def _check(self, shadow: _Shadow, ev: AccessEvent, vc: VectorClock,
+               lo: int, hi: int) -> bool:
+        """Report every unordered conflicting partner of ``ev`` in the
+        shadow, for each byte of ``lo..hi-1`` in turn."""
         def unordered(e: Epoch) -> bool:
             return (conflicts(e.event, ev)
                     and not vc.contains(e.tid, e.clock))
 
+        partners: list[tuple[AccessEvent, bool]] = []
         lw = shadow.last_write
         if lw is not None and unordered(lw):
-            if not self._on_report(lw.event, ev, byte, False):
-                return False
+            partners.append((lw.event, False))
         if ev.is_write:
             for reader in shadow.readers.values():
                 if unordered(reader):
-                    if not self._on_report(reader.event, ev, byte, False):
-                        return False
+                    partners.append((reader.event, False))
         if self._history:
             for past in shadow.write_history:
                 if unordered(past):
-                    if not self._on_report(past.event, ev, byte, True):
-                        return False
+                    partners.append((past.event, True))
             if ev.is_write:
                 for past in shadow.read_history:
                     if unordered(past):
-                        if not self._on_report(past.event, ev, byte, True):
-                            return False
+                        partners.append((past.event, True))
+        if partners:
+            report = self._on_report
+            for byte in range(lo, hi):
+                for first, predicted in partners:
+                    if not report(first, ev, byte, predicted):
+                        return False
         return True
 
     @staticmethod
-    def _update_byte(shadow: _ByteShadow, ev: AccessEvent,
-                     epoch: Epoch) -> None:
+    def _update(shadow: _Shadow, ev: AccessEvent, epoch: Epoch) -> None:
         if ev.is_write:
             if shadow.last_write is not None:
                 shadow.write_history.append(shadow.last_write)

@@ -325,9 +325,7 @@ def run_serve_scenario(workdir: Path, device: str,
     result = offline.sweep(device, algorithms, inputs, jobs=1)
     if result.failures:
         raise StudyError("serve scenario offline baseline failed")
-    baseline = _canonical_payload(
-        {"reps": offline.reps, "scale": offline.scale,
-         "results": offline._result_records()})
+    baseline = _canonical_payload(offline.results_document())
 
     plan = HostFaultPlan.parse(
         "kill=1.0,torn=0.4", seed=seed, targets=("trace-*.json",),
@@ -496,9 +494,7 @@ def run_fleet_scenario(workdir: Path, device: str,
     result = offline.sweep(device, algorithms, inputs, jobs=1)
     if result.failures:
         raise StudyError("fleet scenario offline baseline failed")
-    baseline = _canonical_payload(
-        {"reps": offline.reps, "scale": offline.scale,
-         "results": offline._result_records()})
+    baseline = _canonical_payload(offline.results_document())
 
     async def client(host: str, port: int, tenant: str) -> list[dict]:
         reader, writer = await asyncio.open_connection(host, port)

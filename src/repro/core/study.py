@@ -772,8 +772,18 @@ class Study:
     # ------------------------------------------------------------------
     # Result persistence (the artifact's ./results/ raw-runtime logs)
     # ------------------------------------------------------------------
-    def _result_records(self) -> list[dict]:
-        return [r.to_record() for r in self._results.values()]
+    def _results_fields(self, results: list) -> list[tuple[str, object]]:
+        """The results document's fields, in order, around ``results``
+        (records, or their encoded texts for :func:`json_document`)."""
+        return [("reps", self.reps), ("scale", self.scale),
+                ("results", results)]
+
+    def results_document(self) -> dict:
+        """The results log as a dict: ``reps``, ``scale`` and every
+        memoized result record in memo order.  :meth:`save_results`
+        writes this document; the service serves it as ``/v1/results``."""
+        return dict(self._results_fields(
+            [r.to_record() for r in self._results.values()]))
 
     def save_results(self, path: str | Path) -> None:
         """Write every memoized runtime to a JSON log.
@@ -782,12 +792,11 @@ class Study:
         raw runtimes per (algorithm, input, device, variant), so table
         generation can be re-done without re-running the simulations.
         The write is crash-safe (temp file + atomic rename): a crash
-        mid-save cannot leave a truncated log behind.
+        mid-save cannot leave a truncated log behind.  The text is
+        :meth:`results_document` under ``json.dumps(indent=1)``.
         """
         results, _ = self._result_texts.encode(self._results)
-        atomic_write_text(path, json_document([
-            ("reps", self.reps), ("scale", self.scale),
-            ("results", results)]))
+        atomic_write_text(path, json_document(self._results_fields(results)))
 
     def _load_payload(self, path: str | Path) -> dict:
         """Parse and protocol-check a saved log; StudyError on damage."""

@@ -14,8 +14,9 @@ A candidate is *accepted* only when, with its fix-set applied:
    validity.
 
 :func:`shrink_fixset` then greedily removes fixes one at a time while
-the set stays accepted, yielding a minimal repair (each removal costs
-one full verification, so synthesis can start from a generous set).
+the set stays accepted, yielding a minimal repair (each kept removal
+costs one full verification, and a rejected one stops at its first
+failing schedule, so synthesis can start from a generous set).
 """
 
 from __future__ import annotations
@@ -119,24 +120,35 @@ def reference_output(target):
 
 
 def verify_candidate(target, fixset: FixSet, budget="smoke",
-                     reference=None) -> CandidateVerdict:
+                     reference=None, *,
+                     _stop_on_failure: bool = False) -> CandidateVerdict:
     """Run one candidate through the full acceptance procedure.
 
     A candidate whose kernels cannot even execute (e.g. a promotion
     that would need a sub-word atomic the hardware lacks) is rejected
     with the error as detail, not propagated — an unusable fix is just
     a failed candidate.
+
+    :func:`shrink_fixset` passes ``_stop_on_failure`` for its trials:
+    the exploration then ends at the first failing schedule, since a
+    trial that fails anywhere is rejected whatever later schedules do.
+    An accepted verdict is the same either way.
     """
     try:
         program = target.build_program(fixset.barriers())
         with site_kind_overrides(fixset.kinds()):
+            # nothing here reads the minimized, replay-certified
+            # schedules, so no failure is minimized or replayed
             report = check(program, budget=budget, engine="vclock",
-                           predictive=True, minimize=False)
+                           predictive=True, minimize=False,
+                           max_minimized=0,
+                           stop_on_failure=_stop_on_failure)
         race_free = not report.races
         completes, invariant_ok, output = run_once(target, fixset)
         # an invariant violation surfaced during exploration counts
         # against the invariant, not against race freedom
-        invariant_ok = invariant_ok and not report.failures
+        invariant_ok = invariant_ok and not any(
+            f.kind == "invariant" for f in report.failures)
     except ReproError as exc:
         verdict = CandidateVerdict(
             fixset=fixset, race_free=False, completes=False,
@@ -144,6 +156,8 @@ def verify_candidate(target, fixset: FixSet, budget="smoke",
             schedules_explored=0,
             detail=f"candidate execution failed: {exc}")
         _count_verdict(target.name, "invalid")
+        if _stop_on_failure:
+            _count_trial(target.name, "rejected")
         return verdict
     equivalent = True
     detail = ""
@@ -164,6 +178,10 @@ def verify_candidate(target, fixset: FixSet, budget="smoke",
         invariant_ok=invariant_ok, output_equivalent=equivalent,
         schedules_explored=report.explore.schedules, detail=detail)
     _count_verdict(target.name, verdict.verdict)
+    if _stop_on_failure:
+        _count_trial(target.name, "accepted" if verdict.accepted
+                     else "rejected_early" if report.explore.stopped_early
+                     else "rejected")
     return verdict
 
 
@@ -176,12 +194,23 @@ def _count_verdict(target_name: str, verdict: str) -> None:
                     scope=SCOPE_PROCESS).inc(1, target_name, verdict)
 
 
+def _count_trial(target_name: str, outcome: str) -> None:
+    reg = get_registry()
+    if reg.enabled:
+        reg.counter("repro_repair_shrink_trials_total",
+                    "Fix-set shrink trials, by outcome",
+                    ("target", "outcome"),
+                    scope=SCOPE_PROCESS).inc(1, target_name, outcome)
+
+
 def shrink_fixset(target, verdict: CandidateVerdict, budget="smoke",
                   reference=None) -> CandidateVerdict:
     """Greedy minimal-set search from an accepted candidate.
 
     Repeatedly tries dropping one fix; keeps any drop that leaves the
     set accepted.  Terminates in at most ``size**2`` verifications.
+    Only accepted trials are kept, so each trial's exploration stops at
+    its first failing schedule.
     """
     if not verdict.accepted:
         return verdict
@@ -194,7 +223,8 @@ def shrink_fixset(target, verdict: CandidateVerdict, budget="smoke",
             if not trial.fixes:
                 continue
             attempt = verify_candidate(target, trial, budget=budget,
-                                       reference=reference)
+                                       reference=reference,
+                                       _stop_on_failure=True)
             if attempt.accepted:
                 current = attempt
                 improved = True

@@ -178,8 +178,7 @@ class FleetExecutor:
 
     def results_payload(self) -> dict:
         with self._study_lock:
-            return {"reps": self.study.reps, "scale": self.study.scale,
-                    "results": self.study._result_records()}
+            return self.study.results_document()
 
     def save_results(self, path) -> None:
         with self._study_lock:

@@ -139,8 +139,7 @@ class StudyExecutor:
     def results_payload(self) -> dict:
         """The ``save_results`` JSON of everything computed so far."""
         with self._study_lock:
-            return {"reps": self.study.reps, "scale": self.study.scale,
-                    "results": self.study._result_records()}
+            return self.study.results_document()
 
     def save_results(self, path) -> None:
         with self._study_lock:

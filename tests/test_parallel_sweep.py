@@ -7,6 +7,7 @@ workers only change wall-clock, never results.
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 
 import pytest
@@ -179,6 +180,34 @@ class TestParallelResilientStudy:
         parallel.save_results(tmp_path / "p.json")
         assert (tmp_path / "s.json").read_bytes() == \
             (tmp_path / "p.json").read_bytes()
+
+    def test_failing_fault_plan_agrees_except_wall_clock(self, tmp_path):
+        """Under a plan that fails cells, serial and parallel checkpoints
+        hold the same records except each failure's wall-clock
+        ``elapsed_s`` (and so the ``crc`` over them); the results logs
+        are byte-identical."""
+        faults = FaultPlan.parse("abort=0.5", seed=0)
+        studies = {}
+        for jobs in (1, 2):
+            study = studies[jobs] = ResilientStudy(
+                reps=2, faults=faults, retries=1,
+                checkpoint=tmp_path / f"j{jobs}.ckpt")
+            study.sweep(DEVICE, ALGOS, INPUTS, jobs=jobs)
+            study.save_results(tmp_path / f"j{jobs}.json")
+
+        def records(jobs):
+            doc = json.loads((tmp_path / f"j{jobs}.ckpt").read_text())
+            del doc["crc"]
+            for failure in doc["failures"]:
+                del failure["elapsed_s"]
+            return doc
+
+        assert records(1)["failures"], "the plan must fail some cells"
+        assert records(1) == records(2)
+        assert (tmp_path / "j1.json").read_bytes() == \
+            (tmp_path / "j2.json").read_bytes()
+        assert json.loads((tmp_path / "j1.json").read_text()) == \
+            studies[1].results_document()
 
     def test_shared_disk_traces_across_workers(self, tmp_path):
         """Pool workers share one on-disk trace directory, so a second

@@ -15,7 +15,14 @@ from repro.repair.localize import cluster_obligations, localize
 from repro.repair.prefilter import prefilter
 from repro.repair.synth import Fix, FixSet, synthesize
 from repro.repair.targets import get_target, list_targets
-from repro.repair.verify import reference_output, run_once, verify_candidate
+import repro.repair.verify as verify
+from repro.repair.pipeline import repair
+from repro.repair.verify import (
+    reference_output,
+    run_once,
+    shrink_fixset,
+    verify_candidate,
+)
 
 
 class TestOverrides:
@@ -228,6 +235,83 @@ class TestVerify:
                 to_kind=AccessKind.ATOMIC),))
         verdict = verify_candidate(target, fs, budget="smoke")
         assert not verdict.accepted
+
+    def test_race_does_not_count_against_the_invariant(self):
+        # the volatile candidate runs to a correct result but races; the
+        # race makes it "racy" without failing the invariant
+        report = repair("cc", shrink=False, devices=("titanv",))
+        cand = next(c for c in report.candidates
+                    if c.fixset.label == "volatile-suspects")
+        completes, ok, _ = run_once(get_target("cc"), cand.fixset)
+        assert completes and ok
+        assert cand.verdict == "racy"
+        assert not cand.race_free
+        assert cand.invariant_ok
+        assert cand.output_equivalent
+
+    def test_shrink_trials_stop_at_first_failure(self, monkeypatch):
+        target = get_target("cc")
+        reference = reference_output(target)
+        start = verify_candidate(target, FixSet(label="all", fixes=tuple(
+            Fix("promote", s.name, to_kind=AccessKind.ATOMIC)
+            for s in target.plan.racy_sites())), reference=reference)
+        assert start.accepted and start.fixset.size > 1
+
+        calls = []
+        check = verify.check
+
+        def spy(*args, **kwargs):
+            report = check(*args, **kwargs)
+            calls.append((kwargs, report.explore))
+            return report
+
+        monkeypatch.setattr(verify, "check", spy)
+        shrunk = shrink_fixset(target, start, reference=reference)
+        assert calls
+        assert all(kw["stop_on_failure"] and kw["max_minimized"] == 0
+                   for kw, _ in calls)
+        assert any(explore.stopped_early for _, explore in calls)
+
+        # the same shrink with every trial explored in full
+        monkeypatch.setattr(verify, "check", lambda *a, **kw: check(
+            *a, **dict(kw, stop_on_failure=False)))
+        assert shrink_fixset(target, start, reference=reference) == shrunk
+
+    def test_verification_counters(self, monkeypatch):
+        from repro import telemetry
+        from repro.gpu.racecheck import RaceDetector
+
+        target = get_target("twophase")
+        start = verify_candidate(target, FixSet(label="b+a", fixes=(
+            Fix("barrier", "twophase.phase"),
+            Fix("promote", "twophase.buf.write",
+                to_kind=AccessKind.ATOMIC))))
+        assert start.accepted
+        explored, fed = [], []
+        check, analyze = verify.check, RaceDetector.analyze
+
+        def spy_check(*args, **kwargs):
+            report = check(*args, **kwargs)
+            explored.append(report.explore)
+            return report
+
+        def spy_analyze(self, events):
+            fed.append(len(events))
+            return analyze(self, events)
+
+        monkeypatch.setattr(verify, "check", spy_check)
+        monkeypatch.setattr(RaceDetector, "analyze", spy_analyze)
+        with telemetry.session() as (reg, _spans):
+            shrink_fixset(target, start)
+        assert explored and fed
+        trials = reg.get("repro_repair_shrink_trials_total")
+        assert sum(v for _, v in trials.samples()) == len(explored)
+        assert reg.get("repro_check_schedules_total").value("dpor") == \
+            sum(e.schedules for e in explored)
+        assert reg.get("repro_check_redundant_pruned_total").value(
+            "dpor") == sum(e.redundant_pruned for e in explored)
+        assert reg.get("repro_check_vclock_events_total").value() == \
+            sum(fed)
 
     def test_run_once_reports_output(self):
         target = get_target("cc")

@@ -122,8 +122,7 @@ def main(argv: list[str] | None = None) -> int:
     if result.failures:
         print("FAIL: offline baseline sweep failed", file=sys.stderr)
         return 1
-    baseline = _canonical({"reps": offline.reps, "scale": offline.scale,
-                           "results": offline._result_records()})
+    baseline = _canonical(offline.results_document())
 
     server = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
